@@ -51,7 +51,8 @@ def main() -> int:
               f"separator {len(out.separator)}")
     else:
         print(f"cut_or_cluster: component of {len(out.component)} nodes, "
-              f"diameter {out.diameter}, halo {len(out.halo)}")
+              f"diameter {induced_diameter(g, out.component).value}, "
+              f"halo {len(out.halo)}")
     print(f"rounds charged: {ledger.total_rounds}")
     return 0
 

@@ -46,9 +46,7 @@ from .strong import (
 )
 from .refine import (
     CutOrClusterOutcome,
-    HalvingState,
     cut_or_cluster,
-    halve_seed_set,
     min_ratio_layer,
     refine,
     refined_diameter_bound,

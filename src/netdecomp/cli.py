@@ -1,10 +1,10 @@
 """Command-line front end: generate, carve, decompose, verify, bench.
 
 Exit codes: 0 ok, 1 I/O failure, 2 bad flags (argparse default), 3
-verification found violations. Carve and decompose verify their own output
-before writing unless --no-verify is passed; an invalid result is never
-written. NETDECOMP_THREADS caps bench trial parallelism; outputs do not
-depend on it.
+verification found violations, 4 the graph file is malformed, 5 an algorithm
+detected a broken guarantee (InvariantViolation). Carve and decompose verify
+their own output, against the diameter bound their pipeline declares, before
+writing unless --no-verify is passed; an invalid result is never written.
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import graph as graphmod
 from .decompose import decompose, make_refined_carver, make_strong_carver
+from .errors import InvariantViolation
 from .graph import NodeMask, from_text, generate, to_text
-from .refine import refined_diameter_bound
 from .seeding import derive_seed
 from .strong import StrongCarving
 from .verify import verify_decomposition, verify_strong_carving
@@ -28,7 +26,7 @@ from .weak import linial_saks_black_box, trivial_black_box
 
 _BLACK_BOXES = {"linial_saks": linial_saks_black_box, "trivial": trivial_black_box}
 
-CSV_HEADER = "n,m,eps,seed,algo,colors,max_diameter,dead_fraction,rounds,wall_ms"
+CSV_HEADER = "n,m,eps,seed,algo,colors,max_diameter,rounds,wall_ms"
 
 
 def _carver(eps_impl: str, black_box: str):
@@ -40,14 +38,20 @@ def _carver(eps_impl: str, black_box: str):
     raise ValueError(f"unknown eps-impl {eps_impl!r}")
 
 
-def _decomposition_bounds(n: int) -> tuple[int, int]:
-    c_bound = (max(1, math.ceil(math.log2(n))) if n > 1 else 0) + 1
-    return c_bound, refined_diameter_bound(max(n, 1), 0.5)
+def _color_bound(n: int) -> int:
+    return (max(1, math.ceil(math.log2(n))) if n > 1 else 0) + 1
+
+
+class _BadGraphFile(Exception):
+    pass
 
 
 def _read_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read())
+        try:
+            return from_text(fh.read())
+        except ValueError as e:  # includes UnicodeDecodeError
+            raise _BadGraphFile(f"{path}: {e}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -118,8 +122,7 @@ def _cmd_decompose(args) -> int:
     carver = _carver(args.eps_impl, args.black_box)
     decomp, ledger = decompose(g, args.seed, carver)
     if not args.no_verify:
-        c_bound, d_bound = _decomposition_bounds(g.n)
-        violations = verify_decomposition(g, decomp, c_bound, d_bound)
+        violations = verify_decomposition(g, decomp, _color_bound(g.n), decomp.diameter_bound)
         if violations:
             for v in violations:
                 print(json.dumps(v.to_json()), file=sys.stderr)
@@ -158,16 +161,15 @@ def _cmd_verify(args) -> int:
     g = _read_graph(args.infile)
     with open(args.clustering, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    d_bound = args.d_bound or obj.get("stats", {}).get("diameter_bound")
+    if d_bound is None:
+        d_bound = g.n  # no bound recorded: only structural checks bite
     if args.mode == "decomposition":
-        c_bound = args.c_bound or _decomposition_bounds(g.n)[0]
-        d_bound = args.d_bound or _decomposition_bounds(g.n)[1]
+        c_bound = args.c_bound or _color_bound(g.n)
         violations = verify_decomposition(g, _DecompView(obj), c_bound, d_bound)
     else:
         view = _CarvingView(obj)
         eps = args.eps if args.eps is not None else obj.get("eps", 0.5)
-        d_bound = args.d_bound or obj.get("stats", {}).get("diameter_bound")
-        if d_bound is None:
-            d_bound = g.n  # no bound recorded: only structural checks bite
         violations = verify_strong_carving(g, NodeMask.full(g.n), view, eps, d_bound)
     for v in violations:
         print(json.dumps(v.to_json()))
@@ -203,7 +205,6 @@ def _bench_one(family: str, n: int, trial: int, master_seed: int, eps_impl: str,
         "algo": f"decompose-{eps_impl}",
         "colors": decomp.colors,
         "max_diameter": decomp.max_diameter(),
-        "dead_fraction": 0.0,
         "rounds": ledger.total_rounds,
         "wall_ms": wall_ms,
     }
@@ -211,24 +212,17 @@ def _bench_one(family: str, n: int, trial: int, master_seed: int, eps_impl: str,
 
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    threads = int(os.environ.get("NETDECOMP_THREADS", "1"))
-    jobs = [(args.family, n, t) for n in sizes for t in range(args.trials)]
-
-    def run(job):
-        family, n, trial = job
-        return _bench_one(family, n, trial, args.seed, args.eps_impl, args.black_box)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+    rows = [
+        _bench_one(args.family, n, t, args.seed, args.eps_impl, args.black_box)
+        for n in sizes
+        for t in range(args.trials)
+    ]
     rows.sort(key=lambda r: (args.family, r["n"], r["seed"]))
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
             f"{r['n']},{r['m']},{r['eps']},{r['seed']},{r['algo']},{r['colors']},"
-            f"{r['max_diameter']},{r['dead_fraction']},{r['rounds']},{r['wall_ms']:.3f}"
+            f"{r['max_diameter']},{r['rounds']},{r['wall_ms']:.3f}"
         )
     out = "\n".join(lines) + "\n"
     if args.csv:
@@ -309,6 +303,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return 1
+    except _BadGraphFile as e:
+        print(f"malformed graph file {e}", file=sys.stderr)
+        return 4
+    except InvariantViolation as e:
+        print(f"invariant violated: {e}", file=sys.stderr)
+        return 5
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -40,11 +40,16 @@ class DecompCluster:
 
 @dataclass
 class NetworkDecomposition:
-    """Total partition of V into colored clusters."""
+    """Total partition of V into colored clusters.
+
+    diameter_bound is the largest cluster diameter bound the carver declared
+    over all colors, the guarantee this decomposition is checked against.
+    """
 
     n: int
     colors: int
     clusters: list[DecompCluster]
+    diameter_bound: int | None = None
     stats: dict = field(default_factory=dict)
 
     def assignment(self) -> tuple[np.ndarray, np.ndarray]:
@@ -69,6 +74,7 @@ class NetworkDecomposition:
             "stats": {
                 "rounds": self.stats.get("rounds", 0),
                 "max_diameter": self.max_diameter(),
+                "diameter_bound": self.diameter_bound,
                 "n": self.n,
             },
         }
@@ -78,7 +84,7 @@ def make_strong_carver(black_box):
     """Strong-carving pipeline stage over a weak-carving black box."""
 
     def carver(g, mask, eps, seed):
-        return carve_strong(g, mask, eps, seed, black_box, measure_diameters=False)
+        return carve_strong(g, mask, eps, seed, black_box)
 
     return carver
 
@@ -89,7 +95,7 @@ def make_refined_carver(black_box):
     base = make_strong_carver(black_box)
 
     def carver(g, mask, eps, seed):
-        return refine(g, mask, eps, seed, base, measure_diameters=False)
+        return refine(g, mask, eps, seed, base)
 
     return carver
 
@@ -99,9 +105,10 @@ def decompose(
 ) -> tuple[NetworkDecomposition, RoundLedger]:
     """Iterate carver(eps=1/2); batch i becomes color i.
 
-    carver(g, mask, eps, seed) -> StrongCarving. Raises InvariantViolation
-    if an iteration clusters less than half of the remaining nodes (a
-    carving budget breach) since termination would no longer be guaranteed.
+    carver(g, mask, eps, seed) -> StrongCarving, declaring its cluster
+    diameter bound in meta["diameter_bound"]. Raises InvariantViolation if an
+    iteration clusters less than half of the remaining nodes (a carving
+    budget breach) since termination would no longer be guaranteed.
     """
     n = g.n
     remaining = NodeMask.full(n)
@@ -109,6 +116,7 @@ def decompose(
     clusters: list[DecompCluster] = []
     ledger = RoundLedger()
     remaining_trace = [n]
+    diameter_bound = 0
     color = 0
     while remaining.count() > 0:
         color += 1
@@ -123,6 +131,7 @@ def decompose(
             raise InvariantViolation(
                 f"carver killed {len(dead)} of {rem_count} nodes at color {color}"
             )
+        diameter_bound = max(diameter_bound, sc.meta["diameter_bound"])
         for c in sc.clusters:
             clusters.append(
                 DecompCluster(
@@ -139,6 +148,7 @@ def decompose(
         n=n,
         colors=color,
         clusters=clusters,
+        diameter_bound=diameter_bound,
         stats={
             "rounds": ledger.total_rounds,
             "remaining_trace": remaining_trace,

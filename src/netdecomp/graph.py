@@ -22,7 +22,6 @@ __all__ = [
     "DiameterResult",
     "bfs_layers",
     "connected_components",
-    "eccentricity",
     "induced_diameter",
     "generate",
     "complete_graph",
@@ -159,15 +158,6 @@ class NodeMask:
             a[nodes] = False
         return NodeMask(a)
 
-    def restrict(self, nodes: Iterable[int]) -> "NodeMask":
-        """Mask alive exactly on `nodes` (which must be alive here)."""
-        a = np.zeros_like(self.alive)
-        nodes = np.asarray(list(nodes), dtype=np.int64)
-        if nodes.size:
-            if not self.alive[nodes].all():
-                raise ValueError("restrict: some nodes are not alive")
-            a[nodes] = True
-        return NodeMask(a)
 
 
 @dataclass(frozen=True)
@@ -388,8 +378,8 @@ def connected_components(g: Graph, mask: NodeMask) -> list[np.ndarray]:
     seen = bytearray(g.n)
     comps = []
     adj = g.adj
-    for v in range(g.n):
-        if alive[v] and not seen[v]:
+    for v in mask.node_ids().tolist():
+        if not seen[v]:
             comp = [v]
             seen[v] = 1
             frontier = [v]
@@ -405,16 +395,6 @@ def connected_components(g: Graph, mask: NodeMask) -> list[np.ndarray]:
             comp.sort()
             comps.append(np.asarray(comp, dtype=np.int64))
     return comps
-
-
-def eccentricity(g: Graph, mask: NodeMask, v: int) -> int:
-    """Exact eccentricity of v within its alive component."""
-    alive = mask.as_bytes()
-    if not alive[v]:
-        raise ValueError(f"node {v} is not alive")
-    scratch = Scratch(g.n)
-    _, ecc = _bfs_tree(g.adj, alive, v, scratch)
-    return ecc
 
 
 # ----------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .graph import (
     _bfs_layers,
     _preorder,
     connected_components,
-    induced_diameter,
 )
 from .ledger import RoundLedger, merge_parallel
 from .seeding import derive_seed
@@ -46,9 +45,7 @@ from .strong import StrongCarving, StrongCluster
 
 __all__ = [
     "CutOrClusterOutcome",
-    "HalvingState",
     "min_ratio_layer",
-    "halve_seed_set",
     "cut_or_cluster",
     "refine",
     "refined_diameter_bound",
@@ -63,20 +60,6 @@ LAYER_BUDGET_CONSTANT = 8
 
 
 @dataclass
-class HalvingState:
-    """Seed set S with its coverage radii.
-
-    a = smallest radius at which B_a(S) holds >= n/3 alive nodes, b = same
-    for 2n/3; iteration counts from 1. |S| <= n / 2^(iteration-1) always.
-    """
-
-    nodes: np.ndarray
-    a: int
-    b: int
-    iteration: int
-
-
-@dataclass
 class CutOrClusterOutcome:
     variant: str  # "cut" | "component"
     v1: np.ndarray | None = None
@@ -87,7 +70,6 @@ class CutOrClusterOutcome:
     center: int | None = None
     r_star: int = 0
     a_final: int = 0
-    diameter: int | None = None
     params: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
@@ -101,7 +83,6 @@ class CutOrClusterOutcome:
             out["component"] = [int(v) for v in self.component]
             out["halo"] = [int(v) for v in self.halo]
             out["center"] = self.center
-            out["diameter"] = self.diameter
         return out
 
 
@@ -137,46 +118,27 @@ def _census(adj, alive, nodes, scratch, target_times_3: int):
     return _bfs_layers(adj, alive, nodes, scratch, stop_size=stop)
 
 
-def halve_seed_set(g: Graph, mask: NodeMask, state: HalvingState) -> HalvingState:
-    """One halving step of the seed set.
+def _halve(adj, alive, seeds: list[int], pos: dict, scratch, n: int, b: int):
+    """One halving step of the seed set; returns (chosen half, a1, a2).
 
-    S is sorted along the preorder of the BFS tree rooted at the smallest
-    alive id; the first ceil(|S|/2) nodes form S1, the rest S2. The half with
-    the strictly smaller n/3-coverage radius wins, ties go to S2. The new
-    radius never exceeds the old b: the b-ball of S is the union of the
-    b-balls of the halves, so one half covers >= n/3 within radius b.
+    `pos` maps every alive node to its index in the preorder of the BFS tree
+    rooted at the smallest alive id. The first ceil(|S|/2) seeds in that
+    order form S1, the rest S2; a1 and a2 are their n/3-coverage radii. The
+    half with the strictly smaller radius wins, ties go to S2. The winning
+    radius never exceeds b, the 2n/3-coverage radius of S: the b-ball of S is
+    the union of the b-balls of the halves, so one half covers >= n/3 within
+    radius b.
     """
-    if len(state.nodes) < 2:
+    if len(seeds) < 2:
         raise ValueError("cannot halve a seed set of fewer than 2 nodes")
-    alive = mask.as_bytes()
-    n = mask.count()
-    scratch = Scratch(g.n)
-    vstar = int(mask.node_ids()[0])
-    order = _preorder(g.adj, alive, vstar, scratch)
-    pos = {v: i for i, v in enumerate(order)}
-    s_sorted = sorted((int(v) for v in state.nodes), key=pos.__getitem__)
+    s_sorted = sorted(seeds, key=pos.__getitem__)
     half = (len(s_sorted) + 1) // 2
     s1, s2 = s_sorted[:half], s_sorted[half:]
-    cum1, _ = _census(g.adj, alive, s1, scratch, n)
-    a1 = _coverage_radius(cum1, n)
-    cum2, _ = _census(g.adj, alive, s2, scratch, n)
-    a2 = _coverage_radius(cum2, n)
-    if a1 is None or a2 is None:
-        raise InvariantViolation("seed half failed to cover n/3 of a connected graph")
-    if min(a1, a2) > state.b:
-        raise InvariantViolation(
-            f"halving radius grew past b: min({a1},{a2}) > {state.b}"
-        )
-    chosen = s1 if a1 < a2 else s2
-    a_new = a1 if a1 < a2 else a2
-    cum_new, _ = _census(g.adj, alive, chosen, scratch, 2 * n)
-    b_new = _coverage_radius(cum_new, 2 * n)
-    return HalvingState(
-        nodes=np.asarray(chosen, dtype=np.int64),
-        a=a_new,
-        b=b_new,
-        iteration=state.iteration + 1,
-    )
+    a1 = _coverage_radius(_census(adj, alive, s1, scratch, n)[0], n)
+    a2 = _coverage_radius(_census(adj, alive, s2, scratch, n)[0], n)
+    if a1 is None or a2 is None or min(a1, a2) > b:
+        raise InvariantViolation(f"halving failed: a1={a1} a2={a2} b={b}")
+    return (s1 if a1 < a2 else s2), a1, a2
 
 
 def cut_or_cluster(
@@ -184,7 +146,6 @@ def cut_or_cluster(
     mask: NodeMask,
     eps: float,
     c_layer: int = LAYER_BUDGET_CONSTANT,
-    measure_diameter: bool = True,
     keep_trace: bool = True,
 ) -> tuple[CutOrClusterOutcome, RoundLedger]:
     """Balanced sparse cut, or large small-diameter component.
@@ -212,7 +173,6 @@ def cut_or_cluster(
             center=v,
             r_star=0,
             a_final=0,
-            diameter=0,
             params={"n": 1, "eps": eps},
         )
         return outcome, ledger
@@ -241,20 +201,19 @@ def cut_or_cluster(
     ecc = max(scratch.dist[v] for v in order)
     pos = {v: i for i, v in enumerate(order)}
 
-    state = HalvingState(nodes=alive_ids, a=0, b=0, iteration=1)
+    seeds = [int(v) for v in alive_ids]
+    iteration = 1
     trace: list[dict] = []
     prev_a = 0
     while True:
-        src = [int(v) for v in state.nodes]
-        cum, touched = _census(adj, alive, src, scratch, 2 * n)
+        cum, touched = _census(adj, alive, seeds, scratch, 2 * n)
         a = _coverage_radius(cum, n)
         b = _coverage_radius(cum, 2 * n)
         if a is None or b is None:
             raise InvariantViolation("census failed to reach 2n/3 coverage")
-        state.a, state.b = a, b
         ledger.add("halving-iteration", 3 * ecc)
         # ceil-halving: |S| <= ceil(n / 2^(i-1)), i.e. (|S|-1)*2^(i-1) < n
-        if (len(state.nodes) - 1) * (1 << (state.iteration - 1)) >= n and len(state.nodes) > 1:
+        if (len(seeds) - 1) * (1 << (iteration - 1)) >= n and len(seeds) > 1:
             raise InvariantViolation("seed set did not halve")
         if a > prev_a + cut_threshold:
             raise InvariantViolation("coverage radius jumped past the cut threshold")
@@ -262,9 +221,9 @@ def cut_or_cluster(
         if keep_trace:
             trace.append(
                 {
-                    "iteration": state.iteration,
-                    "seed": np.asarray(src, dtype=np.int64),
-                    "size": len(src),
+                    "iteration": iteration,
+                    "seed": np.asarray(seeds, dtype=np.int64),
+                    "size": len(seeds),
                     "a": a,
                     "b": b,
                 }
@@ -295,29 +254,16 @@ def cut_or_cluster(
                 trace=trace,
             )
             return outcome, ledger
-        if len(state.nodes) == 1:
+        if len(seeds) == 1:
             break
-        s_sorted = sorted(src, key=pos.__getitem__)
-        half = (len(s_sorted) + 1) // 2
-        s1, s2 = s_sorted[:half], s_sorted[half:]
-        cum1, _ = _census(adj, alive, s1, scratch, n)
-        a1 = _coverage_radius(cum1, n)
-        cum2, _ = _census(adj, alive, s2, scratch, n)
-        a2 = _coverage_radius(cum2, n)
-        if a1 is None or a2 is None or min(a1, a2) > b:
-            raise InvariantViolation(f"halving failed: a1={a1} a2={a2} b={b}")
+        seeds, a1, a2 = _halve(adj, alive, seeds, pos, scratch, n, b)
         if keep_trace:
             trace[-1].update({"a1": a1, "a2": a2, "chosen": 1 if a1 < a2 else 2})
-        state = HalvingState(
-            nodes=np.asarray(s1 if a1 < a2 else s2, dtype=np.int64),
-            a=a1 if a1 < a2 else a2,
-            b=b,
-            iteration=state.iteration + 1,
-        )
+        iteration += 1
 
     # single-vertex seed: close off a ball within the growth window
-    v = int(state.nodes[0])
-    a_f = state.a
+    v = seeds[0]
+    a_f = a
     cum, touched = _bfs_layers(adj, alive, [v], scratch, r_max=a_f + k_l + 1)
     walked = len(cum) - 1
     ledger.add("bfs", walked)
@@ -332,9 +278,6 @@ def cut_or_cluster(
     halo = sorted(w for w in touched if dist[w] == r_star + 1)
     if 3 * len(comp) < n:
         raise InvariantViolation("component smaller than n/3")
-    diameter = None
-    if measure_diameter:
-        diameter = induced_diameter(g, comp).value
     outcome = CutOrClusterOutcome(
         variant="component",
         component=np.asarray(comp, dtype=np.int64),
@@ -342,7 +285,6 @@ def cut_or_cluster(
         center=v,
         r_star=r_star,
         a_final=a_f,
-        diameter=diameter,
         params=params,
         trace=trace,
     )
@@ -387,7 +329,6 @@ def refine(
     seed: int,
     strong_carver,
     c_layer: int = LAYER_BUDGET_CONSTANT,
-    measure_diameters: bool = True,
 ) -> StrongCarving:
     """Refine any strong carving algorithm down to balls of bounded radius.
 
@@ -436,7 +377,6 @@ def refine(
                 NodeMask.from_nodes(g.n, c_nodes),
                 eps_cc,
                 c_layer=c_layer,
-                measure_diameter=False,
                 keep_trace=False,
             )
             branch = RoundLedger()
@@ -471,9 +411,6 @@ def refine(
     ledger = process(mask.node_ids(), 1)
     if len(dead_bb) + len(dead_bd) > eps * n0:
         raise InvariantViolation("refinement exceeded the total dead budget")
-    if measure_diameters:
-        for c in clusters:
-            c.diameter = induced_diameter(g, c.nodes).value
     return StrongCarving(
         clusters=clusters,
         dead_black_box=np.asarray(sorted(dead_bb), dtype=np.int64),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, bfs_layers, connected_components, induced_diameter
+from .graph import Graph, NodeMask, bfs_layers, connected_components
 from .ledger import RoundLedger, charge_bfs, charge_steiner_aggregate, merge_parallel
 from .seeding import derive_seed
 from .weak import WeakCarving, WeakCluster
@@ -90,11 +90,6 @@ class StrongCarving:
     @property
     def dead(self) -> np.ndarray:
         return np.sort(np.concatenate([self.dead_black_box, self.dead_boundary]))
-
-    def dead_fraction(self, alive_count: int) -> float:
-        if alive_count == 0:
-            return 0.0
-        return (len(self.dead_black_box) + len(self.dead_boundary)) / alive_count
 
     def max_diameter(self) -> int:
         return max((c.diameter for c in self.clusters if c.diameter is not None), default=0)
@@ -190,7 +185,6 @@ def carve_strong(
     eps: float,
     seed: int,
     black_box,
-    measure_diameters: bool = True,
 ) -> StrongCarving:
     """Transform the weak-carving black box into a strong-diameter carving.
 
@@ -226,9 +220,6 @@ def carve_strong(
         if len(out["dead_boundary"]) > (eps / 2) * n0:
             budget_ok = False
     ledger = merge_parallel(ledgers) if ledgers else RoundLedger()
-    if measure_diameters:
-        for c in clusters:
-            c.diameter = induced_diameter(g, c.nodes).value
     return StrongCarving(
         clusters=clusters,
         dead_black_box=np.asarray(sorted(dead_bb), dtype=np.int64),

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .graph import Graph, NodeMask, Scratch, _bfs_tree, connected_components
 from .ledger import RoundLedger, charge_leader_election, merge_parallel
 from .seeding import rng_from
@@ -58,14 +59,6 @@ class SteinerTree:
     root: int
     parent: dict[int, int]
     terminals: np.ndarray
-
-    def depth_of(self, node: int) -> int:
-        d = 0
-        v = int(node)
-        while v != self.root:
-            v = self.parent[v]
-            d += 1
-        return d
 
 
 @dataclass
@@ -224,7 +217,7 @@ def _linial_saks_component(g, mask, comp, eps, seed, r_cap):
             led.add("ls-tree", depth)
             return clusters, np.asarray(sorted(dead), dtype=np.int64), led
         # redraw this component with a fresh derived stream
-    raise RuntimeError(
+    raise InvariantViolation(
         f"linial_saks: no compliant radius draw after {MAX_REDRAWS} attempts "
         f"(component min id {comp_list[0]}, eps={eps})"
     )

@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+
+from netdecomp import refined_diameter_bound, weak
 from netdecomp.cli import CSV_HEADER, cli_main
 
 
@@ -112,15 +115,36 @@ def test_bench_csv_columns_and_determinism(tmp_path):
     assert strip(csv1.read_text()) == strip(csv2.read_text())
 
 
-def test_bench_thread_env_does_not_change_rows(tmp_path, monkeypatch):
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("NETDECOMP_THREADS", threads)
-        csvf = tmp_path / f"t{threads}.csv"
-        assert (
-            run(["bench", "--family", "gnp", "--sizes", "48", "--trials", "3",
-                 "--seed", "3", "--csv", str(csvf)]) == 0
-        )
-        rows = [",".join(r.split(",")[:-1]) for r in csvf.read_text().strip().split("\n")]
-        outs.append(rows)
-    assert outs[0] == outs[1]
+def test_strong_trivial_decomposition_checked_against_its_own_bound(tmp_path):
+    # the strong pipeline with the trivial black box guarantees 2*R_bb + 2*K,
+    # far above the refined pipeline's bound on a long path
+    gfile = tmp_path / "p.g"
+    dfile = tmp_path / "d.json"
+    assert run(["gen", "--type", "path", "--n", "6000", "--out", str(gfile)]) == 0
+    assert run(["decompose", "--in", str(gfile), "--eps-impl", "strong",
+                "--black-box", "trivial", "--out", str(dfile)]) == 0
+    stats = json.loads(dfile.read_text())["stats"]
+    assert stats["max_diameter"] <= stats["diameter_bound"]
+    assert stats["diameter_bound"] > refined_diameter_bound(6000, 0.5)
+    assert run(["verify", "--mode", "decomposition", "--in", str(gfile),
+                "--clustering", str(dfile)]) == 0
+
+
+def test_malformed_graph_file_exit_4(tmp_path):
+    gfile = tmp_path / "bad.g"
+    gfile.write_text("3 1\n0 5\n")
+    assert run(["decompose", "--in", str(gfile), "--out", str(tmp_path / "o")]) == 4
+    gfile.write_bytes(b"\xff\xfe")
+    assert run(["decompose", "--in", str(gfile), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_invariant_violation_exit_5(tmp_path, monkeypatch):
+    # radius 0 everywhere kills every node, so every redraw breaks the budget
+    monkeypatch.setattr(
+        weak, "_draw_radii", lambda rng, k, p, r_cap: np.zeros(k, dtype=np.int64)
+    )
+    gfile = tmp_path / "p.g"
+    assert run(["gen", "--type", "path", "--n", "20", "--out", str(gfile)]) == 0
+    out = tmp_path / "d.json"
+    assert run(["decompose", "--in", str(gfile), "--out", str(out)]) == 5
+    assert not out.exists()

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from netdecomp import (
-    HalvingState,
     NodeMask,
     complete_graph,
     cut_or_cluster,
     generate,
-    halve_seed_set,
     induced_diameter,
     make_strong_carver,
     min_ratio_layer,
@@ -19,6 +17,8 @@ from netdecomp import (
     linial_saks_black_box,
     verify_strong_carving,
 )
+from netdecomp.graph import Scratch, _preorder
+from netdecomp.refine import _halve
 
 from conftest import (
     check_cut_or_cluster_outcome,
@@ -59,32 +59,38 @@ def test_min_ratio_matches_fraction_scan_oracle():
 
 
 # ----------------------------------------------------------------------------
-# halve_seed_set
+# the halving step of cut_or_cluster
 # ----------------------------------------------------------------------------
+
+
+def halve(g, seeds, b):
+    """One halving step on the whole (connected) graph, with the preorder
+    positions cut_or_cluster computes once per call."""
+    alive = NodeMask.full(g.n).as_bytes()
+    scratch = Scratch(g.n)
+    pos = {v: i for i, v in enumerate(_preorder(g.adj, alive, 0, scratch))}
+    return _halve(g.adj, alive, [int(v) for v in seeds], pos, scratch, g.n, b)
 
 
 def test_halve_two_node_edge():
     g = generate("path", n=2)
-    state = HalvingState(nodes=np.array([0, 1]), a=0, b=1, iteration=1)
-    new = halve_seed_set(g, NodeMask.full(2), state)
-    assert new.nodes.tolist() in ([0], [1])
-    assert new.a <= state.b
-    assert new.iteration == 2
+    chosen, a1, a2 = halve(g, [0, 1], b=1)
+    assert chosen in ([0], [1])
+    assert min(a1, a2) <= 1
 
 
 def test_halve_p8_full_seed_keeps_zero_radius():
     # |S| = 8 on P8: both halves already cover n/3 = 8/3 at radius 0
     g = generate("path", n=8)
-    state = HalvingState(nodes=np.arange(8), a=0, b=0, iteration=1)
-    new = halve_seed_set(g, NodeMask.full(8), state)
-    assert new.a == 0
-    assert len(new.nodes) == 4
+    chosen, a1, a2 = halve(g, range(8), b=0)
+    assert min(a1, a2) == 0
+    assert len(chosen) == 4
 
 
 def test_halve_requires_two_nodes():
     g = generate("path", n=3)
     with pytest.raises(ValueError):
-        halve_seed_set(g, NodeMask.full(3), HalvingState(np.array([1]), 0, 0, 1))
+        halve(g, [1], b=0)
 
 
 def test_halve_radius_never_exceeds_b_random():
@@ -100,12 +106,11 @@ def test_halve_radius_never_exceeds_b_random():
         seed_nodes = sorted(rng.choice(g.n, size=k, replace=False).tolist())
         a = ref_coverage_radius(g, alive, seed_nodes, g.n / 3)
         b = ref_coverage_radius(g, alive, seed_nodes, 2 * g.n / 3)
-        state = HalvingState(np.asarray(seed_nodes), a, b, 1)
-        new = halve_seed_set(g, NodeMask.full(g.n), state)
+        chosen, a1, a2 = halve(g, seed_nodes, b)
         # recompute the new radius from scratch
-        a_new = ref_coverage_radius(g, alive, new.nodes.tolist(), g.n / 3)
-        assert a_new == new.a
-        assert new.a <= b
+        a_new = ref_coverage_radius(g, alive, chosen, g.n / 3)
+        assert a_new == min(a1, a2)
+        assert a_new <= b
 
 
 # ----------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def test_complete_graph_forces_component_variant():
     assert out.variant == "component"
     assert out.component.tolist() == list(range(9))
     assert out.halo.size == 0
-    assert out.diameter == 1
+    assert induced_diameter(g, out.component).value == 1
 
 
 def test_single_node_component():
@@ -157,7 +162,6 @@ def test_fuzz_outcomes_verified_with_trace_oracle():
         exact = None
         if out.variant == "component":
             exact = induced_diameter(g, out.component).value
-            assert out.diameter == exact
         check_cut_or_cluster_outcome(g, mask.node_ids(), out, exact_diameter=exact)
         check_halving_trace(g, mask.node_ids(), out)
 
@@ -167,7 +171,7 @@ def test_outcome_json_shape():
     out, _ = cut_or_cluster(g, NodeMask.full(5), 0.5)
     obj = out.to_json()
     assert obj["variant"] == "component"
-    assert set(obj) >= {"variant", "params", "component", "halo", "diameter"}
+    assert set(obj) >= {"variant", "params", "component", "halo", "center"}
 
 
 # ----------------------------------------------------------------------------
@@ -186,7 +190,7 @@ def test_refine_complete_graph_one_cluster_no_dead():
     sc = refine(g, NodeMask.full(40), 0.5, 1, make_strong_carver(trivial_black_box))
     assert len(sc.clusters) == 1
     assert len(sc.dead) == 0
-    assert sc.clusters[0].diameter == 1
+    assert induced_diameter(g, sc.clusters[0].nodes).value == 1
 
 
 def test_refine_sparse_gnp_passes_verifier_with_refined_bound():

@@ -17,6 +17,7 @@ from netdecomp import (
     detect_giant,
     generate,
     grow_ball,
+    induced_diameter,
     linial_saks_black_box,
     trivial_black_box,
     verify_strong_carving,
@@ -146,7 +147,8 @@ def test_detect_giant_trivial_whole_graph():
 def test_single_node_one_cluster():
     g = generate("path", n=1)
     sc = carve_strong(g, NodeMask.full(1), 0.5, 0, trivial_black_box)
-    assert len(sc.clusters) == 1 and sc.clusters[0].diameter == 0
+    assert len(sc.clusters) == 1
+    assert induced_diameter(g, sc.clusters[0].nodes).value == 0
     assert len(sc.dead) == 0
 
 
@@ -156,7 +158,7 @@ def test_complete_k8_saturates_in_one_ball():
     assert len(sc.clusters) == 1
     assert sc.clusters[0].nodes.tolist() == list(range(8))
     assert len(sc.dead) == 0
-    assert sc.clusters[0].diameter == 1
+    assert induced_diameter(g, sc.clusters[0].nodes).value == 1
 
 
 def test_p64_linial_saks_passes_verifier_with_metadata_bound():
@@ -314,8 +316,7 @@ def test_bfs_charges_equal_logged_r_star_plus_one():
     from collections import Counter
 
     g = generate("path", n=512)
-    sc = carve_strong(g, NodeMask.full(512), 0.5, 7, linial_saks_black_box,
-                      measure_diameters=False)
+    sc = carve_strong(g, NodeMask.full(512), 0.5, 7, linial_saks_black_box)
     (trace,) = sc.meta["trace"]
     bfs_entries = Counter(r for label, r in sc.ledger.breakdown if label == "bfs")
     logged = Counter(r + 1 for r in trace["r_stars"])
@@ -334,8 +335,7 @@ def test_steiner_aggregate_charges_equal_declared_product():
     from collections import Counter
 
     g = generate("path", n=512)
-    sc = carve_strong(g, NodeMask.full(512), 0.5, 7, linial_saks_black_box,
-                      measure_diameters=False)
+    sc = carve_strong(g, NodeMask.full(512), 0.5, 7, linial_saks_black_box)
     (trace,) = sc.meta["trace"]
     agg = Counter(r for label, r in sc.ledger.breakdown if label == "steiner-aggregate")
     logged = Counter(d * c for d, c in trace["black_box_bounds"])
@@ -350,12 +350,11 @@ def test_parallel_merge_equals_per_component_replay():
 
     edges = [(i, i + 1) for i in range(99)] + [(i, i + 1) for i in range(100, 160)]
     g = graph_from_edges(161, edges)
-    whole = carve_strong(g, NodeMask.full(161), 0.5, 3, linial_saks_black_box,
-                         measure_diameters=False)
+    whole = carve_strong(g, NodeMask.full(161), 0.5, 3, linial_saks_black_box)
     parts = []
     for nodes in (range(0, 100), range(100, 161)):
         mask = NodeMask.from_nodes(161, nodes)
         parts.append(
-            carve_strong(g, mask, 0.5, 3, linial_saks_black_box, measure_diameters=False)
+            carve_strong(g, mask, 0.5, 3, linial_saks_black_box)
         )
     assert whole.ledger.total_rounds == max(p.ledger.total_rounds for p in parts)
