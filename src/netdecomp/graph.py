@@ -9,6 +9,7 @@ only walks alive->alive edges.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -67,48 +68,51 @@ class Graph:
             )
         return self._adj
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def edges(self) -> Iterable[tuple[int, int]]:
+    def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        e = _edge_array(self)
+        return list(zip(e[:, 0].tolist(), e[:, 1].tolist()))
 
 
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list; validates simplicity and range."""
-    seen = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in seen:
-        deg[u] += 1
-        deg[v] += 1
+def _edge_array(g: Graph) -> np.ndarray:
+    """The (m, 2) array of edges (u, v) with u < v, sorted, read off the CSR."""
+    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    upper = src < g.indices
+    return np.column_stack((src[upper], g.indices[upper]))
+
+
+def graph_from_edges(n: int, edges) -> Graph:
+    """Build a Graph from an (m, 2) integer array-like of edges.
+
+    Either orientation is accepted; out-of-range ends, self-loops and
+    duplicates (in either orientation) raise ValueError.
+    """
+    e = np.asarray(edges, dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError(f"edges must be an (m, 2) array, got shape {e.shape}")
+    u, v = e[:, 0], e[:, 1]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+    loop = u == v
+    if loop.any():
+        raise ValueError(f"self-loop at node {u[np.argmax(loop)]}")
+    # both directions of every edge, sorted by (source, target): the CSR order
+    src = np.concatenate((u, v))
+    dst = np.concatenate((v, u))
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if dup.any():
+        i = int(np.argmax(dup))
+        a, b = sorted((int(src[i]), int(dst[i])))
+        raise ValueError(f"duplicate edge {(a, b)}")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.zeros(int(indptr[-1]), dtype=np.int64)
-    fill = indptr[:-1].copy()
-    for u, v in seen:
-        indices[fill[u]] = v
-        fill[u] += 1
-        indices[fill[v]] = u
-        fill[v] += 1
-    for v in range(n):
-        indices[indptr[v] : indptr[v + 1]].sort()
-    return Graph(n=n, indptr=indptr, indices=indices)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(n=n, indptr=indptr, indices=dst)
 
 
 class NodeMask:
@@ -409,12 +413,14 @@ class DiameterResult:
     exact: bool
 
 
-def induced_diameter(
-    g: Graph, nodes: Sequence[int], exact_threshold: int = 5000
-) -> DiameterResult:
+# Largest node set whose induced diameter is computed exactly.
+_EXACT_THRESHOLD = 5000
+
+
+def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     """Diameter of the subgraph induced by `nodes`.
 
-    Up to exact_threshold nodes this is exact, via a bitset-batched
+    Up to _EXACT_THRESHOLD nodes this is exact, via a bitset-batched
     all-pairs BFS (one uint64 lane per source, OR-propagated along edges).
     Above the threshold it falls back to eccentricities from a deterministic
     node sample: the reported value is then a certified upper bound
@@ -427,7 +433,7 @@ def induced_diameter(
         raise ValueError("empty node set")
     if k == 1:
         return DiameterResult(0, True, True)
-    if k > exact_threshold:
+    if k > _EXACT_THRESHOLD:
         return _diameter_sampled(g, nodes)
 
     pos = np.full(g.n, -1, dtype=np.int64)
@@ -506,22 +512,17 @@ def _diameter_sampled(g: Graph, nodes: np.ndarray) -> DiameterResult:
 def _gen_path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    i = np.arange(n - 1, dtype=np.int64)
+    return graph_from_edges(n, np.column_stack((i, i + 1)))
 
 
 def _gen_grid(rows: int, cols: int) -> Graph:
     if rows < 1 or cols < 1:
         raise ValueError("grid needs rows, cols >= 1")
-    n = rows * cols
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return graph_from_edges(n, edges)
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    right = np.column_stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()))
+    down = np.column_stack((ids[:-1].ravel(), ids[1:].ravel()))
+    return graph_from_edges(rows * cols, np.concatenate((right, down)))
 
 
 def _gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -580,7 +581,7 @@ def _gen_regular(n: int, deg: int, seed: int, max_attempts: int = 10000) -> Grap
         keys = lo * n + hi
         if np.unique(keys).size != keys.size:
             continue
-        return graph_from_edges(n, list(zip(lo.tolist(), hi.tolist())))
+        return graph_from_edges(n, np.column_stack((lo, hi)))
     raise RuntimeError(f"configuration model failed after {max_attempts} attempts")
 
 
@@ -590,23 +591,19 @@ def _gen_barrier(spec: BarrierSpec) -> Graph:
     Base nodes keep ids 0..base_nodes-1; internal path nodes are appended in
     the sorted order of base edges, so the construction is reproducible.
     """
-    base = _gen_regular(spec.base_nodes, spec.degree, spec.seed)
-    base_edges = sorted(base.edges())
+    base = _edge_array(_gen_regular(spec.base_nodes, spec.degree, spec.seed))
     ell = spec.subdivision_length
-    next_id = spec.base_nodes
-    edges = []
-    for (u, v) in base_edges:
-        chain = [u] + list(range(next_id, next_id + ell - 1)) + [v]
-        next_id += ell - 1
-        for i in range(len(chain) - 1):
-            edges.append((chain[i], chain[i + 1]))
-    return graph_from_edges(next_id, edges)
+    inner = spec.base_nodes + np.arange(len(base) * (ell - 1), dtype=np.int64)
+    # row e is the chain u, internal nodes..., v replacing base edge e
+    chains = np.column_stack((base[:, 0], inner.reshape(len(base), ell - 1), base[:, 1]))
+    edges = np.column_stack((chains[:, :-1].ravel(), chains[:, 1:].ravel()))
+    return graph_from_edges(spec.base_nodes + inner.size, edges)
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return graph_from_edges(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 _KINDS = ("path", "grid", "gnp", "regular_expander", "barrier")
@@ -645,28 +642,30 @@ def generate(kind: str, seed: int = 0, **params) -> Graph:
 
 
 def to_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
-    return "\n".join(lines) + "\n"
+    e = _edge_array(g)
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * len(e)) % tuple(e.ravel().tolist())
 
 
 def from_text(text: str) -> Graph:
-    rows = [ln for ln in text.split("\n") if ln.strip()]
-    if not rows:
+    head, _, body = text.lstrip().partition("\n")
+    if not head:
         raise ValueError("empty graph text")
-    head = rows[0].split()
+    head = head.split()
     if len(head) != 2:
         raise ValueError("header must be 'n m'")
     n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not (0 <= u < v < n):
-            raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
-        edges.append((u, v))
+    if body.strip():
+        # rejects ragged lines and non-integer tokens with ValueError
+        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+    else:
+        edges = np.zeros((0, 2), dtype=np.int64)
+    if len(edges) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(edges)}")
+    if edges.shape[1] != 2:
+        raise ValueError(f"bad edge line: {edges.shape[1]} tokens, expected 2")
+    u, v = edges[:, 0], edges[:, 1]
+    bad = ~((0 <= u) & (u < v) & (v < n))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"edge ({u[i]},{v[i]}) violates 0 <= u < v < n")
     return graph_from_edges(n, edges)

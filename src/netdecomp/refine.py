@@ -146,7 +146,6 @@ def cut_or_cluster(
     mask: NodeMask,
     eps: float,
     c_layer: int = LAYER_BUDGET_CONSTANT,
-    keep_trace: bool = True,
 ) -> tuple[CutOrClusterOutcome, RoundLedger]:
     """Balanced sparse cut, or large small-diameter component.
 
@@ -218,16 +217,15 @@ def cut_or_cluster(
         if a > prev_a + cut_threshold:
             raise InvariantViolation("coverage radius jumped past the cut threshold")
         prev_a = a
-        if keep_trace:
-            trace.append(
-                {
-                    "iteration": iteration,
-                    "seed": np.asarray(seeds, dtype=np.int64),
-                    "size": len(seeds),
-                    "a": a,
-                    "b": b,
-                }
-            )
+        trace.append(
+            {
+                "iteration": iteration,
+                "seed": np.asarray(seeds, dtype=np.int64),
+                "size": len(seeds),
+                "a": a,
+                "b": b,
+            }
+        )
         if b - a >= cut_threshold:
             # thin layer exists among radii [a, b-2]
             r_star = min_ratio_layer(cum[a:b], lo=a)
@@ -257,8 +255,7 @@ def cut_or_cluster(
         if len(seeds) == 1:
             break
         seeds, a1, a2 = _halve(adj, alive, seeds, pos, scratch, n, b)
-        if keep_trace:
-            trace[-1].update({"a1": a1, "a2": a2, "chosen": 1 if a1 < a2 else 2})
+        trace[-1].update({"a1": a1, "a2": a2, "chosen": 1 if a1 < a2 else 2})
         iteration += 1
 
     # single-vertex seed: close off a ball within the growth window
@@ -373,11 +370,7 @@ def refine(
             c_nodes = cl.nodes
             eps_cc = eps * c_layer * math.log(max(len(c_nodes), 2)) / (4 * lmax)
             outcome, cc_led = cut_or_cluster(
-                g,
-                NodeMask.from_nodes(g.n, c_nodes),
-                eps_cc,
-                c_layer=c_layer,
-                keep_trace=False,
+                g, NodeMask.from_nodes(g.n, c_nodes), eps_cc, c_layer=c_layer
             )
             branch = RoundLedger()
             branch.extend(cc_led)

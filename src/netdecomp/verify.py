@@ -133,13 +133,12 @@ def _check_cluster_geometry(
         )
         return
     if res.value > d_bound:
+        witness = {"cluster": cluster_id, "size": len(nodes)}
+        if not res.exact:
+            # `measured` is a sampled upper bound, not the diameter
+            witness["exact"] = False
         out.append(
-            Violation(
-                "diameter-exceeded",
-                {"cluster": cluster_id, "size": len(nodes)},
-                measured=res.value,
-                bound=d_bound,
-            )
+            Violation("diameter-exceeded", witness, measured=res.value, bound=d_bound)
         )
 
 

@@ -237,6 +237,46 @@ def test_graph_simple_invariants_on_generators():
                 assert u in g.adj[v]
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 4)], "out of range"),
+        ([(-1, 0)], "out of range"),
+        ([(2, 2)], "self-loop at node 2"),
+        ([(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+    ],
+)
+def test_graph_from_edges_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_edges(4, edges)
+
+
+def test_graph_from_edges_empty_list_gives_isolated_nodes():
+    g = graph_from_edges(3, [])
+    assert g.n == 3 and g.m == 0
+    assert g.indptr.tolist() == [0, 0, 0, 0]
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert g.adj == ([], [], [])
+
+
+def test_graph_from_edges_ignores_order_and_orientation():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        g = fuzz_graph(rng, max_n=60)
+        edges = np.asarray(g.edges(), dtype=np.int64).reshape(-1, 2)
+        edges = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        h = graph_from_edges(g.n, edges.tolist())
+        assert np.array_equal(h.indptr, g.indptr)
+        assert np.array_equal(h.indices, g.indices)
+        nbrs = {v: set() for v in range(g.n)}
+        for u, v in edges.tolist():
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert list(h.adj) == [sorted(nbrs[v]) for v in range(g.n)]
+
+
 # ----------------------------------------------------------------------------
 # text format
 # ----------------------------------------------------------------------------
@@ -256,6 +296,14 @@ def test_text_rejects_bad_edges():
         from_text("3 1\n2 1\n")  # u >= v
     with pytest.raises(ValueError):
         from_text("3 2\n0 1\n")  # count mismatch
+    for text in (
+        "3 2\n0 1\n1 2 0\n",  # three tokens
+        "3 2\n0 1\n2\n",  # one token
+        "3 1\n0 x\n",  # non-integer token
+        "3 1\n1 3\n",  # v >= n
+    ):
+        with pytest.raises(ValueError):
+            from_text(text)
 
 
 # ----------------------------------------------------------------------------
