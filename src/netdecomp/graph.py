@@ -85,8 +85,11 @@ def graph_from_edges(n: int, edges) -> Graph:
     """Build a Graph from an (m, 2) integer array-like of edges.
 
     Either orientation is accepted; out-of-range ends, self-loops and
-    duplicates (in either orientation) raise ValueError.
+    duplicates (in either orientation) raise ValueError, as does a negative
+    node count.
     """
+    if n < 0:
+        raise ValueError(f"node count n={n} is negative")
     e = np.asarray(edges, dtype=np.int64)
     if e.size == 0:
         e = e.reshape(0, 2)
@@ -413,95 +416,144 @@ class DiameterResult:
     exact: bool
 
 
-# Largest node set whose induced diameter is computed exactly.
+# Most BFS runs one induced_diameter call spends on sweeps and iFUB.
+_BFS_BUDGET = 16
+
+# Largest node set that the bitset kernel finishes exactly when the bounds
+# have not met within the budget.
 _EXACT_THRESHOLD = 5000
 
 
 def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     """Diameter of the subgraph induced by `nodes`.
 
-    Up to _EXACT_THRESHOLD nodes this is exact, via a bitset-batched
-    all-pairs BFS (one uint64 lane per source, OR-propagated along edges).
-    Above the threshold it falls back to eccentricities from a deterministic
-    node sample: the reported value is then a certified upper bound
-    (2 * min sampled eccentricity), exact only if it meets the sampled
-    lower bound.
+    Every BFS runs over a compact local copy of the induced subgraph. A BFS
+    from the lowest node decides `connected`. Two double sweeps (x -> the
+    farthest a -> the farthest b, the second from the node nearest both a
+    and b) give a lower bound, and the node nearest all four sweep ends is
+    the root of iFUB (Crescenzi, Grossi, Habib, Lanzi & Marino, TCS 2013):
+    the eccentricities of the root's BFS levels, deepest first, raise the
+    lower bound until it meets the upper bound 2 * (level - 1).
+
+    If the bounds have not met within _BFS_BUDGET runs, a set of at most
+    _EXACT_THRESHOLD nodes is finished exactly by a bitset all-pairs BFS;
+    a larger set returns the certified upper bound with exact=False.
+
+    A disconnected set has no finite diameter: the result has
+    connected=False, exact=False and the eccentricity of the lowest node
+    within its own component as value.
     """
-    nodes = np.asarray(sorted(int(v) for v in nodes), dtype=np.int64)
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     k = int(nodes.size)
     if k == 0:
         raise ValueError("empty node set")
-    if k == 1:
-        return DiameterResult(0, True, True)
-    if k > _EXACT_THRESHOLD:
-        return _diameter_sampled(g, nodes)
+    src, dst = _local_edges(g, nodes)
+    ip = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=k), out=ip[1:])
+    ip, targets = ip.tolist(), dst.tolist()
+    adj = [targets[ip[v] : ip[v + 1]] for v in range(k)]
 
+    dist0 = _local_bfs(adj, 0)
+    if min(dist0) < 0:
+        return DiameterResult(max(dist0), False, False)
+    dists = {0: dist0}
+
+    def sweep(v: int) -> list[int]:
+        if v not in dists:
+            dists[v] = _local_bfs(adj, v)
+        return dists[v]
+
+    def farthest(dist: list[int]) -> int:
+        return dist.index(max(dist))
+
+    def nearest(*ds: list[int]) -> int:
+        worst = list(map(max, *ds))
+        return worst.index(min(worst))
+
+    da = sweep(farthest(dist0))
+    db = sweep(farthest(da))
+    da2 = sweep(farthest(sweep(nearest(da, db))))
+    db2 = sweep(farthest(da2))
+    du = sweep(nearest(da, db, da2, db2))
+    ecc = {v: max(d) for v, d in dists.items()}
+    i = max(du)
+    levels: list[list[int]] = [[] for _ in range(i + 1)]
+    for v, d in enumerate(du):
+        levels[d].append(v)
+
+    # a pair with an end deeper than level i is within that end's
+    # eccentricity (in `ecc`, so at most lb); two nodes at levels <= i are
+    # within 2 * i through the root: the diameter is at most max(lb, 2 * i)
+    while True:
+        lb = max(ecc.values())
+        ub = min(2 * min(ecc.values()), max(lb, 2 * i))
+        if lb >= ub:
+            return DiameterResult(lb, True, True)
+        fringe = [z for z in levels[i] if z not in ecc]
+        if len(ecc) + len(fringe) > _BFS_BUDGET:
+            break
+        for z in fringe:
+            ecc[z] = max(_local_bfs(adj, z))
+        i -= 1
+    if k <= _EXACT_THRESHOLD:
+        return DiameterResult(_diameter_bitset(k, src, dst), True, True)
+    return DiameterResult(ub, True, False)
+
+
+def _local_edges(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edges of the subgraph induced by the sorted `nodes`, in local
+    ids 0..k-1, sorted by source and then by target."""
     pos = np.full(g.n, -1, dtype=np.int64)
-    pos[nodes] = np.arange(k)
-    # compact directed edge list inside the cluster
+    pos[nodes] = np.arange(nodes.size)
     counts = (g.indptr[nodes + 1] - g.indptr[nodes]).astype(np.int64)
     total = int(counts.sum())
-    if total:
-        starts = g.indptr[nodes]
-        offs = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.arange(total) - offs + np.repeat(starts, counts)
-        dst_raw = g.indices[flat]
-        src_raw = np.repeat(nodes, counts)
-        keep = pos[dst_raw] >= 0
-        src = pos[src_raw[keep]]
-        dst = pos[dst_raw[keep]]
-    else:
-        src = dst = np.zeros(0, dtype=np.int64)
+    if not total:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    starts = g.indptr[nodes]
+    offs = np.repeat(np.cumsum(counts) - counts, counts)
+    flat = np.arange(total) - offs + np.repeat(starts, counts)
+    dst_raw = g.indices[flat]
+    src_raw = np.repeat(nodes, counts)
+    keep = pos[dst_raw] >= 0
+    return pos[src_raw[keep]], pos[dst_raw[keep]]
 
+
+def _local_bfs(adj: list[list[int]], s: int) -> list[int]:
+    """Hop distances from `s` over local adjacency lists; -1 if unreached."""
+    dist = [-1] * len(adj)
+    dist[s] = 0
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def _diameter_bitset(k: int, src: np.ndarray, dst: np.ndarray) -> int:
+    """Exact diameter of a connected local subgraph with k >= 2 nodes, by an
+    all-pairs BFS batched in bitsets (one uint64 lane per source,
+    OR-propagated along edges): one numpy step per distance."""
     words = (k + 63) // 64
     reach = np.zeros((k, words), dtype=np.uint64)
     lanes = np.arange(k, dtype=np.uint64)
     reach[np.arange(k), (lanes // np.uint64(64)).astype(np.int64)] = (
         np.uint64(1) << (lanes % np.uint64(64))
     )
-    full_row = np.full(words, ~np.uint64(0), dtype=np.uint64)
-    if k % 64:
-        full_row[-1] = (np.uint64(1) << np.uint64(k % 64)) - np.uint64(1)
-
-    if src.size == 0:
-        return DiameterResult(0, k == 1, True)
-    order = np.argsort(src, kind="stable")
-    src_s, dst_s = src[order], dst[order]
-    deg = np.bincount(src_s, minlength=k)
-    row_starts = np.concatenate(([0], np.cumsum(deg)))[:-1]
-    has_nbrs = deg > 0
-    starts_nz = row_starts[has_nbrs]
-
+    starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
     diameter = 0
-    for step in range(1, k):
-        gathered = reach[dst_s]
-        agg = np.bitwise_or.reduceat(gathered, starts_nz, axis=0)
-        updated = reach[has_nbrs] | agg
-        if np.array_equal(updated, reach[has_nbrs]):
-            break
-        reach[has_nbrs] = updated
-        diameter = step
-    connected = bool((reach == full_row).all())
-    return DiameterResult(diameter, connected, True)
-
-
-def _diameter_sampled(g: Graph, nodes: np.ndarray) -> DiameterResult:
-    mask = NodeMask.from_nodes(g.n, nodes)
-    alive = mask.as_bytes()
-    scratch = Scratch(g.n)
-    k = nodes.size
-    stride = max(1, k // 16)
-    sample = nodes[::stride][:16]
-    lower = 0
-    upper = None
-    connected = True
-    for v in sample:
-        touched, ecc = _bfs_tree(g.adj, alive, int(v), scratch)
-        if len(touched) != k:
-            connected = False
-        lower = max(lower, ecc)
-        upper = ecc * 2 if upper is None else min(upper, ecc * 2)
-    return DiameterResult(int(upper), connected, upper == lower)
+    while True:
+        updated = reach | np.bitwise_or.reduceat(reach[dst], starts, axis=0)
+        if np.array_equal(updated, reach):
+            return diameter
+        reach = updated
+        diameter += 1
 
 
 # ----------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def _check_cluster_geometry(
     if res.value > d_bound:
         witness = {"cluster": cluster_id, "size": len(nodes)}
         if not res.exact:
-            # `measured` is a sampled upper bound, not the diameter
+            # `measured` is a certified upper bound, not the diameter
             witness["exact"] = False
         out.append(
             Violation("diameter-exceeded", witness, measured=res.value, bound=d_bound)

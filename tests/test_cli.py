@@ -138,6 +138,15 @@ def test_malformed_graph_file_exit_4(tmp_path):
     assert run(["decompose", "--in", str(gfile), "--out", str(tmp_path / "o")]) == 4
 
 
+def test_negative_node_count_file_exit_4(tmp_path):
+    gfile = tmp_path / "neg.g"
+    gfile.write_text("-1 0\n")
+    dfile = tmp_path / "d.json"
+    dfile.write_text("{}")
+    argv = ["verify", "--mode", "decomposition", "--in", str(gfile), "--clustering", str(dfile)]
+    assert run(argv) == 4
+
+
 def test_invariant_violation_exit_5(tmp_path, monkeypatch):
     # radius 0 everywhere kills every node, so every redraw breaks the budget
     monkeypatch.setattr(

@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netdecomp import graph as graphmod
 from netdecomp import (
     BarrierSpec,
     NodeMask,
@@ -16,7 +19,13 @@ from netdecomp import (
     to_text,
 )
 
-from conftest import fw_distances, fuzz_graph, ref_ball_sizes, uf_components
+from conftest import (
+    fw_distances,
+    fuzz_graph,
+    largest_component_graph,
+    ref_ball_sizes,
+    uf_components,
+)
 
 
 def test_bfs_path_line_distances():
@@ -259,6 +268,13 @@ def test_graph_from_edges_empty_list_gives_isolated_nodes():
     assert g.adj == ([], [], [])
 
 
+def test_negative_node_count_names_n():
+    with pytest.raises(ValueError, match="n=-1"):
+        graph_from_edges(-1, [])
+    with pytest.raises(ValueError, match="n=-1"):
+        from_text("-1 0\n")
+
+
 def test_graph_from_edges_ignores_order_and_orientation():
     rng = np.random.default_rng(21)
     for _ in range(30):
@@ -311,17 +327,67 @@ def test_text_rejects_bad_edges():
 # ----------------------------------------------------------------------------
 
 
-def test_induced_diameter_matches_floyd_warshall():
+def _fuzz_node_set(rng: np.random.Generator) -> tuple:
+    """A fuzz graph of at most 120 nodes and a node set in it: the whole
+    graph, its largest component or a random subset (often disconnected)."""
+    pick = int(rng.integers(3))
+    g = fuzz_graph(rng, max_n=120, connected=pick == 1)
+    if pick < 2:
+        return g, list(range(g.n))
+    k = int(rng.integers(1, g.n + 1))
+    return g, sorted(rng.choice(g.n, size=k, replace=False).tolist())
+
+
+def test_induced_diameter_matches_floyd_warshall(monkeypatch):
+    # each set is measured twice: with the module's constants (bounds met or
+    # the bitset finisher, always exact) and with a budget of 7 runs and no
+    # bitset finisher (exact, or a certified upper bound labelled inexact)
+    calls = {"bitset": 0}
+    bitset = graphmod._diameter_bitset
+
+    def counted(*args):
+        calls["bitset"] += 1
+        return bitset(*args)
+
+    monkeypatch.setattr(graphmod, "_diameter_bitset", counted)
+    seen = collections.Counter()
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        g = fuzz_graph(rng, max_n=50)
-        k = int(rng.integers(1, g.n + 1))
-        nodes = sorted(rng.choice(g.n, size=k, replace=False).tolist())
+    for _ in range(220):
+        g, nodes = _fuzz_node_set(rng)
+        sub = fw_distances(g, alive=set(nodes))[np.ix_(nodes, nodes)]
+        true_d = int(sub.max())
+        before = calls["bitset"]
         res = induced_diameter(g, nodes)
-        d = fw_distances(g, alive=set(nodes))
-        sub = d[np.ix_(nodes, nodes)]
-        if res.connected:
-            assert sub.max() < 10**9
-            assert res.value == sub.max()
+        assert res.connected == (true_d < 10**9)
+        if not res.connected:
+            assert not res.exact
+            seen["disconnected"] += 1
+            continue
+        assert res.exact and res.value == true_d
+        seen["bitset" if calls["bitset"] > before else "bounds met"] += 1
+        with monkeypatch.context() as m:
+            m.setattr(graphmod, "_BFS_BUDGET", 7)
+            m.setattr(graphmod, "_EXACT_THRESHOLD", 0)
+            res = induced_diameter(g, nodes)
+        if res.exact:
+            assert res.value == true_d
         else:
-            assert sub.max() >= 10**9
+            assert res.value >= true_d
+            seen["bound"] += 1
+    assert set(seen) == {"disconnected", "bounds met", "bitset", "bound"}, seen
+
+
+def test_induced_diameter_bound_when_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(graphmod, "_BFS_BUDGET", 7)
+    monkeypatch.setattr(graphmod, "_EXACT_THRESHOLD", 0)
+    g = largest_component_graph(generate("gnp", seed=4, n=120, p=0.05))
+    res = induced_diameter(g, range(g.n))
+    assert res.connected and res.exact is False
+    assert res.value >= fw_distances(g).max()
+
+
+def test_induced_diameter_exact_on_grid_and_long_path():
+    g = generate("grid", rows=64, cols=64)
+    assert induced_diameter(g, range(g.n)) == graphmod.DiameterResult(126, True, True)
+    g = generate("path", n=20000)
+    assert induced_diameter(g, range(g.n)) == graphmod.DiameterResult(19999, True, True)

@@ -86,15 +86,15 @@ def test_diameter_exceeded_and_disconnected():
     assert "disconnected-cluster" in kinds
 
 
-def test_sampled_diameter_violation_labelled_inexact():
-    # above 5000 nodes the diameter is a sampled upper bound: a 6000-node
-    # path has diameter 5999 but measures 6000, which must say so
+def test_large_cluster_diameter_violation_is_exact():
+    # above 5000 nodes the diameter is still exact: a 6000-node path
+    # measures 5999, with no "exact" label in the witness
     g = generate("path", n=6000)
     d = _decomp(6000, [(1, list(range(6000)))])
-    violations = verify_decomposition(g, d, 1, 5999)
+    violations = verify_decomposition(g, d, 1, 5998)
     assert [v.kind for v in violations] == ["diameter-exceeded"]
-    assert violations[0].measured == 6000
-    assert violations[0].witness["exact"] is False
+    assert violations[0].measured == 5999
+    assert "exact" not in violations[0].witness
 
 
 def test_strong_carving_dead_budget_edge():
