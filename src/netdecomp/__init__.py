@@ -60,6 +60,7 @@ from .decompose import (
 )
 from .verify import (
     Violation,
+    Violations,
     no_large_lowdiam_component,
     verify_decomposition,
     verify_strong_carving,

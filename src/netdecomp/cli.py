@@ -1,10 +1,11 @@
-"""Command-line front end: generate, carve, decompose, verify, bench.
+"""Command-line front end: generate, carve, decompose, verify.
 
 Exit codes: 0 ok, 1 I/O failure, 2 bad flags (argparse default), 3
-verification found violations, 4 the graph file is malformed, 5 an algorithm
-detected a broken guarantee (InvariantViolation). Carve and decompose verify
-their own output, against the diameter bound their pipeline declares, before
-writing unless --no-verify is passed; an invalid result is never written.
+verification found violations, 4 the graph file or clustering file is
+malformed, 5 an algorithm detected a broken guarantee (InvariantViolation).
+Carve and decompose always verify their own output, against the diameter
+bound their pipeline declares, before writing; an invalid result is never
+written. The cluster diameters they write are the ones the verifier measured.
 """
 
 from __future__ import annotations
@@ -13,20 +14,15 @@ import argparse
 import json
 import math
 import sys
-import time
 
-from . import graph as graphmod
 from .decompose import decompose, make_refined_carver, make_strong_carver
 from .errors import InvariantViolation
 from .graph import NodeMask, from_text, generate, to_text
-from .seeding import derive_seed
 from .strong import StrongCarving
 from .verify import verify_decomposition, verify_strong_carving
 from .weak import linial_saks_black_box, trivial_black_box
 
 _BLACK_BOXES = {"linial_saks": linial_saks_black_box, "trivial": trivial_black_box}
-
-CSV_HEADER = "n,m,eps,seed,algo,colors,max_diameter,rounds,wall_ms"
 
 
 def _carver(eps_impl: str, black_box: str):
@@ -42,7 +38,7 @@ def _color_bound(n: int) -> int:
     return (max(1, math.ceil(math.log2(n))) if n > 1 else 0) + 1
 
 
-class _BadGraphFile(Exception):
+class _MalformedFile(Exception):
     pass
 
 
@@ -51,7 +47,7 @@ def _read_graph(path: str):
         try:
             return from_text(fh.read())
         except ValueError as e:  # includes UnicodeDecodeError
-            raise _BadGraphFile(f"{path}: {e}") from None
+            raise _MalformedFile(f"malformed graph file {path}: {e}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -61,6 +57,22 @@ def _write(path: str, text: str) -> None:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def _report(violations, what: str) -> int:
+    for v in violations:
+        print(json.dumps(v.to_json()), file=sys.stderr)
+    print(f"{what} failed verification; not writing output", file=sys.stderr)
+    return 3
+
+
+def _measured_stats(diameters: dict) -> dict:
+    """stats.max_diameter over the verifier's measurements, and whether
+    every one was exact rather than a certified upper bound."""
+    return {
+        "max_diameter": max((r.value for r in diameters.values()), default=0),
+        "max_diameter_exact": all(r.exact for r in diameters.values()),
+    }
 
 
 # ----------------------------------------------------------------------------
@@ -97,17 +109,14 @@ def _cmd_carve(args) -> int:
     mask = NodeMask.full(g.n)
     carver = _carver(args.eps_impl, args.black_box)
     sc: StrongCarving = carver(g, mask, args.eps, args.seed)
-    for c in sc.clusters:
-        c.diameter = graphmod.induced_diameter(g, c.nodes).value
-    if not args.no_verify:
-        bound = sc.meta.get("diameter_bound")
-        violations = verify_strong_carving(g, mask, sc, args.eps, bound)
-        if violations:
-            for v in violations:
-                print(json.dumps(v.to_json()), file=sys.stderr)
-            print("carving failed verification; not writing output", file=sys.stderr)
-            return 3
-    _write(args.out, _json_dumps(sc.to_json()))
+    violations = verify_strong_carving(g, mask, sc, args.eps, sc.meta["diameter_bound"])
+    if violations:
+        return _report(violations, "carving")
+    obj = sc.to_json()
+    for c in obj["clusters"]:
+        c["diameter"] = violations.diameters[c["id"]].value
+    obj["stats"].update(_measured_stats(violations.diameters))
+    _write(args.out, _json_dumps(obj))
     if args.ledger_out:
         _write(args.ledger_out, _json_dumps(sc.ledger.to_json()))
     print(
@@ -121,14 +130,12 @@ def _cmd_decompose(args) -> int:
     g = _read_graph(args.infile)
     carver = _carver(args.eps_impl, args.black_box)
     decomp, ledger = decompose(g, args.seed, carver)
-    if not args.no_verify:
-        violations = verify_decomposition(g, decomp, _color_bound(g.n), decomp.diameter_bound)
-        if violations:
-            for v in violations:
-                print(json.dumps(v.to_json()), file=sys.stderr)
-            print("decomposition failed verification; not writing output", file=sys.stderr)
-            return 3
-    _write(args.out, _json_dumps(decomp.to_json()))
+    violations = verify_decomposition(g, decomp, _color_bound(g.n), decomp.diameter_bound)
+    if violations:
+        return _report(violations, "decomposition")
+    obj = decomp.to_json()
+    obj["stats"].update(_measured_stats(violations.diameters))
+    _write(args.out, _json_dumps(obj))
     if args.ledger_out:
         _write(args.ledger_out, _json_dumps(ledger.to_json()))
     print(
@@ -138,38 +145,66 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _need(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(what)
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # a JSON integer; bool does not count
+
+
 class _ClusterView:
-    def __init__(self, obj):
-        self.id = obj["id"]
-        self.color = obj.get("color", 1)
-        self.nodes = obj["nodes"]
-        self.center = obj.get("center")
+    def __init__(self, obj, n: int):
+        _need(isinstance(obj, dict), f"cluster {obj!r:.40} is not an object")
+        self.id, self.color, self.nodes = obj.get("id"), obj.get("color", 1), obj.get("nodes")
+        _need(_is_int(self.id), f"cluster id {self.id!r} is not an integer")
+        _need(_is_int(self.color), f"cluster {self.id}: color {self.color!r} is not an integer")
+        _need(isinstance(self.nodes, list), f"cluster {self.id}: nodes is not a list")
+        for v in self.nodes:
+            _need(_is_int(v) and 0 <= v < n, f"cluster {self.id}: node {v!r} is not in 0..{n - 1}")
 
 
-class _CarvingView:
-    def __init__(self, obj):
-        self.clusters = [_ClusterView(c) for c in obj["clusters"]]
-        self.dead = [d["node"] for d in obj.get("dead", [])]
+class _ClusteringView:
+    """A decomposition or carving JSON as the verifiers read it, checked on
+    load: anything malformed raises ValueError instead of reaching them."""
+
+    def __init__(self, obj, n: int):
+        _need(isinstance(obj, dict), "the top level is not an object")
+        clusters, dead, stats = obj.get("clusters"), obj.get("dead", []), obj.get("stats", {})
+        _need(isinstance(clusters, list), "clusters is not a list")
+        self.clusters = [_ClusterView(c, n) for c in clusters]
+        _need(isinstance(dead, list), "dead is not a list")
+        for d in dead:
+            ok = isinstance(d, dict) and _is_int(d.get("node")) and 0 <= d["node"] < n
+            _need(ok, f"dead entry {d!r:.40} has no node in 0..{n - 1}")
+        self.dead = [d["node"] for d in dead]
+        _need(isinstance(stats, dict), "stats is not an object")
+        self.d_bound, self.eps = stats.get("diameter_bound"), obj.get("eps", 0.5)
+        _need(type(self.d_bound) in (int, float, type(None)), "diameter_bound is not a number")
+        _need(type(self.eps) in (int, float), "eps is not a number")
 
 
-class _DecompView:
-    def __init__(self, obj):
-        self.clusters = [_ClusterView(c) for c in obj["clusters"]]
+def _read_clustering(path: str, n: int) -> _ClusteringView:
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)  # JSON that does not parse is an I/O failure
+    try:
+        return _ClusteringView(obj, n)
+    except ValueError as e:
+        raise _MalformedFile(f"malformed clustering file {path}: {e}") from None
 
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.infile)
-    with open(args.clustering, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    d_bound = args.d_bound or obj.get("stats", {}).get("diameter_bound")
+    view = _read_clustering(args.clustering, g.n)
+    d_bound = args.d_bound or view.d_bound
     if d_bound is None:
         d_bound = g.n  # no bound recorded: only structural checks bite
     if args.mode == "decomposition":
         c_bound = args.c_bound or _color_bound(g.n)
-        violations = verify_decomposition(g, _DecompView(obj), c_bound, d_bound)
+        violations = verify_decomposition(g, view, c_bound, d_bound)
     else:
-        view = _CarvingView(obj)
-        eps = args.eps if args.eps is not None else obj.get("eps", 0.5)
+        eps = args.eps if args.eps is not None else view.eps
         violations = verify_strong_carving(g, NodeMask.full(g.n), view, eps, d_bound)
     for v in violations:
         print(json.dumps(v.to_json()))
@@ -177,59 +212,6 @@ def _cmd_verify(args) -> int:
         print(f"{len(violations)} violation(s)", file=sys.stderr)
         return 3
     print("valid")
-    return 0
-
-
-def _bench_one(family: str, n: int, trial: int, master_seed: int, eps_impl: str, black_box: str):
-    seed = derive_seed(master_seed, n, trial)
-    if family == "gnp":
-        g = generate("gnp", seed=derive_seed(seed, 0), n=n, p=8.0 / n)
-    elif family == "path":
-        g = generate("path", n=n)
-    elif family == "grid":
-        side = int(round(math.sqrt(n)))
-        g = generate("grid", rows=side, cols=side)
-    elif family == "regular":
-        g = generate("regular_expander", seed=derive_seed(seed, 0), n=n, deg=4)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    carver = _carver(eps_impl, black_box)
-    t0 = time.perf_counter()
-    decomp, ledger = decompose(g, seed, carver)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return {
-        "n": g.n,
-        "m": g.m,
-        "eps": 0.5,
-        "seed": seed,
-        "algo": f"decompose-{eps_impl}",
-        "colors": decomp.colors,
-        "max_diameter": decomp.max_diameter(),
-        "rounds": ledger.total_rounds,
-        "wall_ms": wall_ms,
-    }
-
-
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = [
-        _bench_one(args.family, n, t, args.seed, args.eps_impl, args.black_box)
-        for n in sizes
-        for t in range(args.trials)
-    ]
-    rows.sort(key=lambda r: (args.family, r["n"], r["seed"]))
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['n']},{r['m']},{r['eps']},{r['seed']},{r['algo']},{r['colors']},"
-            f"{r['max_diameter']},{r['rounds']},{r['wall_ms']:.3f}"
-        )
-    out = "\n".join(lines) + "\n"
-    if args.csv:
-        _write(args.csv, out)
-        print(f"wrote {args.csv} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(out)
     return 0
 
 
@@ -264,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-impl", default="refined", choices=["refined", "strong"])
         p.add_argument("--black-box", default="linial_saks", choices=sorted(_BLACK_BOXES))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--no-verify", action="store_true")
         if name == "carve":
             p.add_argument("--eps", type=float, required=True)
             p.set_defaults(func=_cmd_carve)
@@ -279,16 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--c-bound", type=int, default=None)
     ver.add_argument("--d-bound", type=float, default=None)
     ver.set_defaults(func=_cmd_verify)
-
-    ben = sub.add_parser("bench", help="scaling sweep, CSV output")
-    ben.add_argument("--family", default="gnp", choices=["gnp", "path", "grid", "regular"])
-    ben.add_argument("--sizes", required=True, help="comma-separated node counts")
-    ben.add_argument("--trials", type=int, default=3)
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--eps-impl", default="refined", choices=["refined", "strong"])
-    ben.add_argument("--black-box", default="linial_saks", choices=sorted(_BLACK_BOXES))
-    ben.add_argument("--csv", default=None)
-    ben.set_defaults(func=_cmd_bench)
     return ap
 
 
@@ -303,8 +274,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return 1
-    except _BadGraphFile as e:
-        print(f"malformed graph file {e}", file=sys.stderr)
+    except _MalformedFile as e:
+        print(e, file=sys.stderr)
         return 4
     except InvariantViolation as e:
         print(f"invariant violated: {e}", file=sys.stderr)

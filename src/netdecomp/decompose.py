@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, induced_diameter
+from .graph import Graph, NodeMask
+# Never called here; kept because perfbench/spans.py wraps this name by path.
+from .graph import induced_diameter  # noqa: F401
 from .ledger import RoundLedger
 from .refine import refine
 from .seeding import derive_seed
@@ -35,7 +37,6 @@ class DecompCluster:
     color: int
     nodes: np.ndarray
     center: int
-    diameter: int | None = None
 
 
 @dataclass
@@ -61,9 +62,6 @@ class NetworkDecomposition:
             col[c.nodes] = c.color
         return cid, col
 
-    def max_diameter(self) -> int:
-        return max((c.diameter for c in self.clusters if c.diameter is not None), default=0)
-
     def to_json(self) -> dict:
         return {
             "colors": self.colors,
@@ -73,7 +71,6 @@ class NetworkDecomposition:
             ],
             "stats": {
                 "rounds": self.stats.get("rounds", 0),
-                "max_diameter": self.max_diameter(),
                 "diameter_bound": self.diameter_bound,
                 "n": self.n,
             },
@@ -100,9 +97,7 @@ def make_refined_carver(black_box):
     return carver
 
 
-def decompose(
-    g: Graph, seed: int, carver, measure_diameters: bool = True
-) -> tuple[NetworkDecomposition, RoundLedger]:
+def decompose(g: Graph, seed: int, carver) -> tuple[NetworkDecomposition, RoundLedger]:
     """Iterate carver(eps=1/2); batch i becomes color i.
 
     carver(g, mask, eps, seed) -> StrongCarving, declaring its cluster
@@ -141,9 +136,6 @@ def decompose(
         ledger.extend(sc.ledger)
         remaining = NodeMask.from_nodes(n, dead)
         remaining_trace.append(len(dead))
-    if measure_diameters:
-        for c in clusters:
-            c.diameter = induced_diameter(g, c.nodes).value
     decomp = NetworkDecomposition(
         n=n,
         colors=color,

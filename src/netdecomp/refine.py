@@ -382,9 +382,7 @@ def refine(
             else:
                 stats["components"] += 1
                 clusters.append(
-                    StrongCluster(
-                        nodes=outcome.component, center=int(outcome.center), diameter=None
-                    )
+                    StrongCluster(nodes=outcome.component, center=int(outcome.center))
                 )
                 dead_bd.extend(int(v) for v in outcome.halo)
                 rem = np.setdiff1d(

@@ -74,7 +74,6 @@ class CarvingParams:
 class StrongCluster:
     nodes: np.ndarray
     center: int
-    diameter: int | None = None
 
 
 @dataclass
@@ -91,9 +90,6 @@ class StrongCarving:
     def dead(self) -> np.ndarray:
         return np.sort(np.concatenate([self.dead_black_box, self.dead_boundary]))
 
-    def max_diameter(self) -> int:
-        return max((c.diameter for c in self.clusters if c.diameter is not None), default=0)
-
     def to_json(self) -> dict:
         dead = [{"node": int(v), "cause": "black-box"} for v in self.dead_black_box]
         dead += [{"node": int(v), "cause": "boundary"} for v in self.dead_boundary]
@@ -103,12 +99,7 @@ class StrongCarving:
             "eps": self.meta.get("eps"),
             "seed": self.meta.get("seed"),
             "clusters": [
-                {
-                    "id": k,
-                    "center": int(c.center),
-                    "diameter": c.diameter,
-                    "nodes": [int(v) for v in c.nodes],
-                }
+                {"id": k, "center": int(c.center), "nodes": [int(v) for v in c.nodes]}
                 for k, c in enumerate(self.clusters)
             ],
             "dead": dead,
@@ -116,7 +107,6 @@ class StrongCarving:
             "stats": {
                 "clusters": len(self.clusters),
                 "dead": len(dead),
-                "max_diameter": self.max_diameter(),
                 "diameter_bound": self.meta.get("diameter_bound"),
             },
         }
@@ -263,9 +253,7 @@ def _carve_component(g, comp, eps, seed, black_box):
         nxt: list[np.ndarray] = []
         for s_nodes in current:
             if len(s_nodes) == 1:
-                clusters.append(
-                    StrongCluster(nodes=s_nodes, center=int(s_nodes[0]), diameter=None)
-                )
+                clusters.append(StrongCluster(nodes=s_nodes, center=int(s_nodes[0])))
                 continue
             led = RoundLedger()
             s_mask = NodeMask.from_nodes(g.n, s_nodes)
@@ -298,9 +286,7 @@ def _carve_component(g, comp, eps, seed, black_box):
                 )
                 charge_bfs(led, r_star + 1)
                 trace["r_stars"].append(r_star)
-                clusters.append(
-                    StrongCluster(nodes=ball, center=int(giant.tree.root), diameter=None)
-                )
+                clusters.append(StrongCluster(nodes=ball, center=int(giant.tree.root)))
                 dead_bd.extend(int(v) for v in boundary)
                 remaining = np.setdiff1d(
                     s_nodes, np.concatenate([ball, boundary]), assume_unique=True
@@ -318,7 +304,7 @@ def _carve_component(g, comp, eps, seed, black_box):
             raise InvariantViolation(
                 f"non-trivial component of size {len(s_nodes)} survived {params.i_max} iterations"
             )
-        clusters.append(StrongCluster(nodes=s_nodes, center=int(s_nodes[0]), diameter=None))
+        clusters.append(StrongCluster(nodes=s_nodes, center=int(s_nodes[0])))
 
     return {
         "clusters": clusters,

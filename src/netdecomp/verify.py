@@ -3,9 +3,11 @@
 Every object the library produces (weak carvings, strong carvings,
 decompositions) can be checked here against its definition, by direct
 measurement: partitions by counting, adjacency by edge scans, diameters by
-all-pairs BFS inside each cluster. The verifiers are pure, know nothing
-about how the objects were produced, and return violations as data rather
-than raising.
+BFS inside each cluster. The verifiers are pure, know nothing about how the
+objects were produced, and return violations as data rather than raising; a
+node id outside 0..n-1 is reported as a violation, never used as an index.
+This is the only place that measures cluster diameters: the strong-carving
+and decomposition verifiers hand back what they measured.
 
 Each verifier has an independently coded slow twin in `dense_check`
 (adjacency-matrix based); fuzz tests require the two to agree.
@@ -16,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, NodeMask, Scratch, _bfs_tree, induced_diameter
+from .graph import Graph, NodeMask, induced_diameter
 
 __all__ = [
     "Violation",
+    "Violations",
     "verify_weak_carving",
     "verify_strong_carving",
     "verify_decomposition",
@@ -61,8 +64,29 @@ class Violation:
         return out
 
 
+class Violations(list):
+    """The violations a verifier found, plus `diameters`: the
+    `induced_diameter` result it measured for each cluster it sized, keyed
+    by cluster id."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.diameters: dict = {}
+
+
 def _as_int_set(nodes: Iterable[int]) -> set[int]:
     return set(int(v) for v in nodes)
+
+
+def _in_range(g: Graph, nodes: set[int]) -> set[int]:
+    """The members of `nodes` that are node ids of `g`; the others are
+    reported by the partition check and kept out of every other check."""
+    return {v for v in nodes if 0 <= v < g.n}
+
+
+def _owners(cluster_sets: dict[int, set[int]]) -> dict[int, int]:
+    """Node -> id of the (last) cluster holding it."""
+    return {v: k for k, nodes in cluster_sets.items() for v in nodes}
 
 
 def _check_partition(
@@ -123,10 +147,11 @@ def _check_cluster_geometry(
     cluster_id: int,
     nodes: Iterable[int],
     d_bound: float,
-    out: list[Violation],
+    out: Violations,
 ) -> None:
-    nodes = sorted(_as_int_set(nodes))
+    nodes = sorted(nodes)
     res = induced_diameter(g, nodes)
+    out.diameters[cluster_id] = res
     if not res.connected:
         out.append(
             Violation("disconnected-cluster", {"cluster": cluster_id, "size": len(nodes)})
@@ -159,6 +184,7 @@ def verify_weak_carving(g: Graph, mask: NodeMask, w, eps: float) -> list[Violati
     cluster_sets = [_as_int_set(c.nodes) for c in w.clusters]
     dead = _as_int_set(w.dead)
     _check_partition(alive_ids, cluster_sets + [dead], out)
+    cluster_sets = {k: _in_range(g, nodes) for k, nodes in enumerate(cluster_sets)}
 
     if len(dead) > eps * len(alive_ids):
         out.append(
@@ -170,11 +196,7 @@ def verify_weak_carving(g: Graph, mask: NodeMask, w, eps: float) -> list[Violati
             )
         )
 
-    owner: dict[int, int] = {}
-    for k, nodes in enumerate(cluster_sets):
-        for v in nodes:
-            owner[v] = k
-    _check_cluster_adjacency(g, owner, out)
+    _check_cluster_adjacency(g, _owners(cluster_sets), out)
 
     edge_use: dict[tuple[int, int], int] = {}
     for k, cluster in enumerate(w.clusters):
@@ -210,7 +232,7 @@ def _check_steiner_tree(
     parent = {int(c): int(p) for c, p in tree.parent.items()}
     root = int(tree.root)
     tree_nodes = set(parent) | {root}
-    terminals = _as_int_set(tree.terminals)
+    terminals = _in_range(g, _as_int_set(tree.terminals))
 
     reasons = []
     if terminals != members:
@@ -219,16 +241,19 @@ def _check_steiner_tree(
         reasons.append("terminal missing from tree")
     if root in parent:
         reasons.append("root has a parent")
-    for c, p in parent.items():
-        if p not in tree_nodes:
-            reasons.append("parent outside tree")
-            break
-        if p not in g.adj[c]:
-            reasons.append("parent edge not in graph")
-            break
-        if not alive[c] or not alive[p]:
-            reasons.append("dead tree node")
-            break
+    if _in_range(g, tree_nodes) != tree_nodes:
+        reasons.append("tree node outside graph")
+    else:
+        for c, p in parent.items():
+            if p not in tree_nodes:
+                reasons.append("parent outside tree")
+                break
+            if p not in g.adj[c]:
+                reasons.append("parent edge not in graph")
+                break
+            if not alive[c] or not alive[p]:
+                reasons.append("dead tree node")
+                break
     depths: dict[int, int] = {}
     if not reasons:
         # walk each terminal to the root; a cycle shows up as an overlong walk
@@ -273,17 +298,19 @@ def _check_steiner_tree(
 
 def verify_strong_carving(
     g: Graph, mask: NodeMask, c, eps: float, d_bound: float
-) -> list[Violation]:
+) -> Violations:
     """Check a strong carving: partition, dead budget, non-adjacency, and
     per-cluster connectivity + induced diameter <= d_bound.
 
-    `c` needs: clusters (objects with .nodes) and dead (iterable).
+    `c` needs: clusters (objects with .nodes) and dead (iterable). The
+    result's `diameters` is keyed by the cluster's position in c.clusters.
     """
-    out: list[Violation] = []
+    out = Violations()
     alive_ids = _as_int_set(mask.node_ids())
     cluster_sets = [_as_int_set(cl.nodes) for cl in c.clusters]
     dead = _as_int_set(c.dead)
     _check_partition(alive_ids, cluster_sets + [dead], out)
+    cluster_sets = {k: _in_range(g, nodes) for k, nodes in enumerate(cluster_sets)}
     if len(dead) > eps * len(alive_ids):
         out.append(
             Violation(
@@ -293,12 +320,8 @@ def verify_strong_carving(
                 bound=eps * len(alive_ids),
             )
         )
-    owner: dict[int, int] = {}
-    for k, nodes in enumerate(cluster_sets):
-        for v in nodes:
-            owner[v] = k
-    _check_cluster_adjacency(g, owner, out)
-    for k, nodes in enumerate(cluster_sets):
+    _check_cluster_adjacency(g, _owners(cluster_sets), out)
+    for k, nodes in cluster_sets.items():
         if nodes:
             _check_cluster_geometry(g, k, nodes, d_bound, out)
     return out
@@ -309,17 +332,19 @@ def verify_strong_carving(
 # ----------------------------------------------------------------------------
 
 
-def verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> list[Violation]:
+def verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> Violations:
     """Check a network decomposition: total partition of V, color count,
     same-color non-adjacency, and per-cluster connectivity + diameter.
 
-    `d` needs: clusters (objects with .id, .color, .nodes).
+    `d` needs: clusters (objects with .id, .color, .nodes). The result's
+    `diameters` is keyed by cluster id.
     """
-    out: list[Violation] = []
+    out = Violations()
     all_ids = set(range(g.n))
     cluster_sets = {int(cl.id): _as_int_set(cl.nodes) for cl in d.clusters}
     colors = {int(cl.id): int(cl.color) for cl in d.clusters}
     _check_partition(all_ids, list(cluster_sets.values()), out)
+    cluster_sets = {cid: _in_range(g, nodes) for cid, nodes in cluster_sets.items()}
 
     used_colors = set(colors.values())
     if used_colors and (min(used_colors) < 1 or len(used_colors) > c_bound):
@@ -331,11 +356,7 @@ def verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> list[Viol
                 bound=c_bound,
             )
         )
-    owner: dict[int, int] = {}
-    for cid, nodes in cluster_sets.items():
-        for v in nodes:
-            owner[v] = cid
-    _check_cluster_adjacency(g, owner, out, colors=colors)
+    _check_cluster_adjacency(g, _owners(cluster_sets), out, colors=colors)
     for cid, nodes in cluster_sets.items():
         if nodes:
             _check_cluster_geometry(g, cid, nodes, d_bound, out)
@@ -358,10 +379,23 @@ def no_large_lowdiam_component(g: Graph, r: int, t: int) -> bool:
         raise ValueError("r must be >= 0")
     if t < 1:
         raise ValueError("t must be >= 1")
-    alive = NodeMask.full(g.n).as_bytes()
-    scratch = Scratch(g.n)
+    adj = g.adj
+    seen = [-1] * g.n  # seen[w] == v: w already reached from source v
     for v in range(g.n):
-        touched, _ = _bfs_tree(g.adj, alive, v, scratch, r_max=r)
-        if len(touched) >= t:
+        seen[v] = v
+        frontier = [v]
+        size = 1
+        for _ in range(r):
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if seen[w] != v:
+                        seen[w] = v
+                        nxt.append(w)
+            if not nxt:
+                break
+            size += len(nxt)
+            frontier = nxt
+        if size >= t:
             return False
     return True

@@ -33,6 +33,7 @@ from netdecomp import (
     weak_carve,
 )
 from netdecomp.cli import cli_main
+from netdecomp.seeding import derive_seed
 from netdecomp.dense_check import (
     dense_verify_decomposition,
     dense_verify_strong_carving,
@@ -100,7 +101,7 @@ def test_criterion_1_validity_suite():
         c_bound = _c_bound(g.n)
         d_bound = refined_diameter_bound(g.n, 0.5)
         for seed in range(5):
-            d, _ = decompose(g, seed, carver, measure_diameters=False)
+            d, _ = decompose(g, seed, carver)
             violations = verify_decomposition(g, d, c_bound, d_bound)
             assert not violations, (fam, g.n, seed, [v.to_json() for v in violations])
             runs += 1
@@ -209,20 +210,16 @@ def test_criterion_5_barrier_obstruction():
           f"subdivided expander has < n/3 nodes ({dt:.2f}s, exhaustive)")
 
 
-def test_criterion_6_ledger_scaling(tmp_path):
-    csv_path = tmp_path / "scaling.csv"
-    code = cli_main(
-        ["bench", "--family", "gnp", "--sizes", "256,512,1024,2048,4096,8192",
-         "--trials", "2", "--seed", "1", "--csv", str(csv_path)]
-    )
-    assert code == 0
-    header, *rows = csv_path.read_text().strip().split("\n")
-    n_col, rounds_col = (header.split(",").index(k) for k in ("n", "rounds"))
+def test_criterion_6_ledger_scaling():
+    carver = make_refined_carver(linial_saks_black_box)
     ns, totals = [], []
-    for row in rows:
-        parts = row.split(",")
-        ns.append(int(parts[n_col]))
-        totals.append(int(parts[rounds_col]))
+    for n in (256, 512, 1024, 2048, 4096, 8192):
+        for trial in range(2):
+            seed = derive_seed(1, n, trial)
+            g = generate("gnp", seed=derive_seed(seed, 0), n=n, p=8.0 / n)
+            _, ledger = decompose(g, seed, carver)
+            ns.append(g.n)
+            totals.append(ledger.total_rounds)
     x = np.log(np.log(np.asarray(ns, dtype=float)))
     y = np.log(np.asarray(totals, dtype=float))
     residuals = []
@@ -290,8 +287,7 @@ def test_criterion_7_oracle_equivalence():
         mask = NodeMask.full(g.n)
         mode = case % 3
         if mode == 0:
-            d, _ = decompose(g, case, make_refined_carver(linial_saks_black_box),
-                             measure_diameters=False)
+            d, _ = decompose(g, case, make_refined_carver(linial_saks_black_box))
             if case % 2:
                 d = _corrupt_decomposition(rng, d)
             cb, db = _c_bound(g.n), refined_diameter_bound(g.n, 0.5)

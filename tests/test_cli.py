@@ -1,9 +1,14 @@
+import importlib
 import json
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from netdecomp import refined_diameter_bound, weak
-from netdecomp.cli import CSV_HEADER, cli_main
+from netdecomp import generate, induced_diameter, refined_diameter_bound, weak
+from netdecomp import graph as graphmod
+from netdecomp.cli import cli_main
 
 
 def run(argv):
@@ -101,20 +106,6 @@ def test_missing_file_exit_1(tmp_path):
     assert run(["decompose", "--in", str(tmp_path / "nope.g"), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_bench_csv_columns_and_determinism(tmp_path):
-    csv1 = tmp_path / "a.csv"
-    csv2 = tmp_path / "b.csv"
-    args = ["bench", "--family", "gnp", "--sizes", "32,64", "--trials", "2", "--seed", "9"]
-    assert run(args + ["--csv", str(csv1)]) == 0
-    assert run(args + ["--csv", str(csv2)]) == 0
-    rows1 = csv1.read_text().strip().split("\n")
-    assert rows1[0] == CSV_HEADER
-    assert len(rows1) == 5
-    strip = lambda text: ["," .join(r.split(",")[:-1]) for r in text.strip().split("\n")]
-    # identical modulo the wall-clock column
-    assert strip(csv1.read_text()) == strip(csv2.read_text())
-
-
 def test_strong_trivial_decomposition_checked_against_its_own_bound(tmp_path):
     # the strong pipeline with the trivial black box guarantees 2*R_bb + 2*K,
     # far above the refined pipeline's bound on a long path
@@ -157,3 +148,149 @@ def test_invariant_violation_exit_5(tmp_path, monkeypatch):
     out = tmp_path / "d.json"
     assert run(["decompose", "--in", str(gfile), "--out", str(out)]) == 5
     assert not out.exists()
+
+
+# ----------------------------------------------------------------------------
+# malformed clustering files
+# ----------------------------------------------------------------------------
+
+
+def _verify_clustering(tmp_path, clustering, mode="decomposition"):
+    gfile = tmp_path / "p5.g"
+    assert run(["gen", "--type", "path", "--n", "5", "--out", str(gfile)]) == 0
+    dfile = tmp_path / "d.json"
+    dfile.write_text(clustering if isinstance(clustering, str) else json.dumps(clustering))
+    return run(["verify", "--mode", mode, "--in", str(gfile), "--clustering", str(dfile)])
+
+
+@pytest.mark.parametrize(
+    "clustering",
+    [
+        {"clusters": [{"color": 1, "nodes": [0, 1, 2, 3, 4]}]},  # no "id"
+        [{"id": 0, "color": 1, "nodes": [0, 1, 2, 3, 4]}],  # top level is a list
+        {"clusters": [{"id": 0, "color": 1, "nodes": [0, 1, 2, 3, "x"]}]},
+        {"clusters": [{"id": 0, "color": 1, "nodes": [0, 1, 2, 3, 4, 7]}]},
+        {"clusters": [{"id": 0, "color": 1, "nodes": [-1, 0, 1, 2, 3, 4]}]},
+        {"clusters": [{"id": True, "color": 1, "nodes": [0, 1, 2, 3, 4]}]},
+        {"clusters": [[0, 1, 2, 3, 4]]},
+    ],
+    ids=["no-id", "top-level-list", "node-x", "node-7", "node-minus-1", "bool-id", "bare-list"],
+)
+def test_malformed_clustering_file_exit_4(tmp_path, capsys, clustering):
+    assert _verify_clustering(tmp_path, clustering) == 4
+    assert "malformed clustering file" in capsys.readouterr().err
+
+
+def test_malformed_carving_dead_entry_exit_4(tmp_path):
+    clustering = {"clusters": [{"id": 0, "nodes": [0, 1, 2, 3]}], "dead": [{"cause": "boundary"}]}
+    assert _verify_clustering(tmp_path, clustering, mode="carving") == 4
+
+
+def test_unparsable_clustering_json_exit_1(tmp_path):
+    assert _verify_clustering(tmp_path, "{not json") == 1
+
+
+# ----------------------------------------------------------------------------
+# measured diameters in the written JSON
+# ----------------------------------------------------------------------------
+
+
+def test_written_diameters_are_the_measured_ones(tmp_path):
+    gfile = tmp_path / "g.g"
+    dfile = tmp_path / "d.json"
+    cfile = tmp_path / "c.json"
+    run(["gen", "--type", "gnp", "--n", "60", "--p", "0.08", "--seed", "3", "--out", str(gfile)])
+    g = generate("gnp", seed=3, n=60, p=0.08)
+    assert run(["decompose", "--in", str(gfile), "--out", str(dfile)]) == 0
+    obj = json.loads(dfile.read_text())
+    assert set(obj["stats"]) == {
+        "rounds", "diameter_bound", "n", "max_diameter", "max_diameter_exact"
+    }
+    measured = [induced_diameter(g, c["nodes"]) for c in obj["clusters"]]
+    assert obj["stats"]["max_diameter"] == max(r.value for r in measured)
+    assert obj["stats"]["max_diameter_exact"] is True
+    assert run(["carve", "--in", str(gfile), "--eps", "0.5", "--out", str(cfile)]) == 0
+    obj = json.loads(cfile.read_text())
+    for c in obj["clusters"]:
+        assert c["diameter"] == induced_diameter(g, c["nodes"]).value
+    assert obj["stats"]["max_diameter"] == max(c["diameter"] for c in obj["clusters"])
+    assert obj["stats"]["max_diameter_exact"] is True
+
+
+def test_decompose_measures_each_cluster_once(tmp_path, monkeypatch):
+    decompose_mod = importlib.import_module("netdecomp.decompose")
+    verify_mod = importlib.import_module("netdecomp.verify")
+
+    def refuse(g, nodes):
+        raise AssertionError("decompose measured a cluster diameter")
+
+    sizes = []
+
+    def counted(g, nodes, real=verify_mod.induced_diameter):
+        sizes.append(len(nodes))
+        return real(g, nodes)
+
+    monkeypatch.setattr(decompose_mod, "induced_diameter", refuse)
+    monkeypatch.setattr(verify_mod, "induced_diameter", counted)
+    gfile = tmp_path / "p.g"
+    dfile = tmp_path / "d.json"
+    assert run(["gen", "--type", "path", "--n", "2000", "--out", str(gfile)]) == 0
+    assert run(["decompose", "--in", str(gfile), "--out", str(dfile)]) == 0
+    clusters = json.loads(dfile.read_text())["clusters"]
+    assert sorted(sizes) == sorted(len(c["nodes"]) for c in clusters)
+
+
+def test_certified_bound_written_as_inexact(tmp_path, monkeypatch):
+    # with a tiny BFS budget and no exact finisher, the giant G(n,p) cluster
+    # only gets a certified upper bound
+    monkeypatch.setattr(graphmod, "_BFS_BUDGET", 7)
+    monkeypatch.setattr(graphmod, "_EXACT_THRESHOLD", 0)
+    gfile = tmp_path / "g.g"
+    dfile = tmp_path / "d.json"
+    run(["gen", "--type", "gnp", "--n", "120", "--p", "0.05", "--seed", "4", "--out", str(gfile)])
+    assert run(["decompose", "--in", str(gfile), "--out", str(dfile)]) == 0
+    stats = json.loads(dfile.read_text())["stats"]
+    assert stats["max_diameter_exact"] is False
+    assert stats["max_diameter"] <= stats["diameter_bound"]
+
+
+# ----------------------------------------------------------------------------
+# every pipeline the CLI accepts, on every generator family
+# ----------------------------------------------------------------------------
+
+
+def _gen_args(family: str, n: int) -> list[str]:
+    if family == "gnp":
+        return ["--type", "gnp", "--n", str(n), "--p", "0.1"]
+    if family == "regular_expander":
+        return ["--type", "regular_expander", "--n", str(max(n, 5)), "--deg", "4"]
+    if family == "barrier":
+        base = max(4, n // 4 * 2)  # even, so base * degree 3 is even
+        return ["--type", "barrier", "--base-nodes", str(base), "--deg", "3", "--sub-len", "3"]
+    return ["--type", family, "--n", str(n)]
+
+
+@pytest.mark.parametrize("eps_impl", ["strong", "refined"])
+@pytest.mark.parametrize("black_box", ["trivial", "linial_saks"])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    family=st.sampled_from(["path", "grid", "gnp", "regular_expander", "barrier"]),
+    n=st.integers(1, 60),
+    gen_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+)
+def test_every_pipeline_roundtrips_through_cli(
+    tmp_path, eps_impl, black_box, family, n, gen_seed, seed
+):
+    gfile = tmp_path / "g.g"
+    dfile = tmp_path / "d.json"
+    argv = ["gen", *_gen_args(family, n), "--seed", str(gen_seed), "--out", str(gfile)]
+    assert run(argv) == 0
+    assert run(["decompose", "--in", str(gfile), "--eps-impl", eps_impl, "--black-box",
+                black_box, "--seed", str(seed), "--out", str(dfile)]) == 0
+    stats = json.loads(dfile.read_text())["stats"]
+    assert stats["max_diameter"] <= stats["diameter_bound"]
+    assert stats["max_diameter_exact"] is True
+    assert run(["verify", "--mode", "decomposition", "--in", str(gfile),
+                "--clustering", str(dfile)]) == 0

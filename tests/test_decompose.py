@@ -99,7 +99,7 @@ def test_decomposition_json_schema():
     d, led = decompose(g, 4, make_refined_carver(linial_saks_black_box))
     obj = d.to_json()
     assert set(obj) == {"colors", "clusters", "stats"}
-    assert set(obj["stats"]) == {"rounds", "max_diameter", "diameter_bound", "n"}
+    assert set(obj["stats"]) == {"rounds", "diameter_bound", "n"}
     assert obj["stats"]["diameter_bound"] == refined_diameter_bound(50, 0.5)
     for c in obj["clusters"]:
         assert set(c) == {"id", "color", "nodes"}

@@ -8,6 +8,7 @@ from netdecomp import (
     StrongCluster,
     RoundLedger,
     Violation,
+    Violations,
     WeakCarving,
     WeakCluster,
     complete_graph,
@@ -95,6 +96,48 @@ def test_large_cluster_diameter_violation_is_exact():
     assert [v.kind for v in violations] == ["diameter-exceeded"]
     assert violations[0].measured == 5999
     assert "exact" not in violations[0].witness
+
+
+def test_verifiers_report_what_they_measured():
+    g = generate("path", n=5)
+    d = _decomp(5, [(1, [0, 1]), (2, [2]), (1, [3, 4])])
+    res = verify_decomposition(g, d, 2, 4)
+    assert res == [] and isinstance(res, Violations)
+    assert {k: r.value for k, r in res.diameters.items()} == {0: 1, 1: 0, 2: 1}
+    assert all(r.exact for r in res.diameters.values())
+    c = _carving([[0, 1, 2], [4]], [3], 5)
+    res = verify_strong_carving(g, NodeMask.full(5), c, 0.5, 4)
+    assert res == [] and {k: r.value for k, r in res.diameters.items()} == {0: 2, 1: 0}
+
+
+@pytest.mark.parametrize("bad", [7, -1])
+def test_node_outside_graph_is_only_outside_input(bad):
+    # the node is reported, and never used as an index: no IndexError for 7,
+    # no wrap-around to node 4 (and no spurious disconnected cluster) for -1
+    g = generate("path", n=5)
+    expected = [("not-partition", {"reason": "outside-input", "nodes": [bad]})]
+    d = _decomp(5, [(1, [0, 1, 2, 3, 4, bad])])
+    res = verify_decomposition(g, d, 1, 4)
+    assert [(v.kind, v.witness) for v in res] == expected
+    assert res.diameters[0].value == 4
+    c = _carving([[0, 1, bad], [3, 4]], [2], 5)
+    res = verify_strong_carving(g, NodeMask.full(5), c, 0.5, 4)
+    assert [(v.kind, v.witness) for v in res] == expected
+    nodes = np.array([0, 1, bad])
+    tree = SteinerTree(root=0, parent={1: 0}, terminals=nodes)
+    w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=1)], [2, 3, 4], 1, 1)
+    assert [(v.kind, v.witness) for v in verify_weak_carving(g, NodeMask.full(5), w, 0.9)] == expected
+
+
+def test_steiner_tree_through_a_node_outside_graph():
+    g = generate("path", n=3)
+    nodes = np.array([0, 1])
+    tree = SteinerTree(root=0, parent={1: 0, 9: 1}, terminals=nodes)
+    w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=2)], [2], 2, 1)
+    res = verify_weak_carving(g, NodeMask.full(3), w, 0.5)
+    assert [(v.kind, v.witness["reason"]) for v in res] == [
+        ("steiner-terminals", "tree node outside graph")
+    ]
 
 
 def test_strong_carving_dead_budget_edge():
