@@ -197,11 +197,11 @@ def _read_clustering(path: str, n: int) -> _ClusteringView:
 def _cmd_verify(args) -> int:
     g = _read_graph(args.infile)
     view = _read_clustering(args.clustering, g.n)
-    d_bound = args.d_bound or view.d_bound
+    d_bound = args.d_bound if args.d_bound is not None else view.d_bound
     if d_bound is None:
         d_bound = g.n  # no bound recorded: only structural checks bite
     if args.mode == "decomposition":
-        c_bound = args.c_bound or _color_bound(g.n)
+        c_bound = args.c_bound if args.c_bound is not None else _color_bound(g.n)
         violations = verify_decomposition(g, view, c_bound, d_bound)
     else:
         eps = args.eps if args.eps is not None else view.eps

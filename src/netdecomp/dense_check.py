@@ -102,6 +102,9 @@ def dense_verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> lis
     clusters = list(d.clusters)
     cluster_sets = [set(int(v) for v in cl.nodes) for cl in clusters]
     out = _partition_kinds(set(range(g.n)), cluster_sets)
+    ids = [int(cl.id) for cl in clusters]
+    if len(set(ids)) < len(ids):
+        out.append(Violation("not-partition", {"reason": "duplicate-id"}))
     used = {int(cl.color) for cl in clusters}
     if used and (min(used) < 1 or len(used) > c_bound):
         out.append(

@@ -42,14 +42,17 @@ class Graph:
     """Simple undirected graph with sorted CSR adjacency.
 
     Invariants: no self-loops, no multi-edges, u in adj(v) iff v in adj(u),
-    neighbor lists sorted ascending. Instances are immutable after
-    construction and safe to share across threads.
+    neighbor lists sorted ascending. The edges never change after
+    construction. Every traversal the algorithms run on the graph reuses its
+    one `scratch` workspace, so at most one traversal may run on a graph at
+    a time; no library code uses threads.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     _adj: tuple | None = field(default=None, repr=False)
+    _scratch: Scratch | None = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -67,6 +70,13 @@ class Graph:
                 tuple(idx[ip[v] : ip[v + 1]] for v in range(self.n)),
             )
         return self._adj
+
+    @property
+    def scratch(self) -> Scratch:
+        """The traversal workspace (built once, cached); see `Scratch`."""
+        if self._scratch is None:
+            self._scratch = Scratch(self.n)
+        return self._scratch
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in sorted order."""
@@ -122,16 +132,19 @@ class NodeMask:
     """Boolean alive-mask over a graph's nodes; induced-subgraph view.
 
     Treated as immutable: derived masks are new objects. The bytes buffer
-    mirrors the numpy array for fast scalar indexing in BFS loops.
+    mirrors the numpy array for fast scalar indexing in BFS loops. A mask
+    built by `from_nodes` also keeps its sorted node ids, so `count()` and
+    `node_ids()` cost O(part) instead of a scan over all n nodes.
     """
 
-    __slots__ = ("alive", "_bytes", "_count")
+    __slots__ = ("alive", "_bytes", "_count", "_ids")
 
     def __init__(self, alive: np.ndarray):
         alive = np.asarray(alive, dtype=bool)
         self.alive = alive
         self._bytes: bytearray | None = None
         self._count: int | None = None
+        self._ids: np.ndarray | None = None
 
     @classmethod
     def full(cls, n: int) -> "NodeMask":
@@ -139,15 +152,27 @@ class NodeMask:
 
     @classmethod
     def from_nodes(cls, n: int, nodes: Iterable[int]) -> "NodeMask":
-        a = np.zeros(n, dtype=bool)
-        nodes = np.asarray(list(nodes), dtype=np.int64)
-        if nodes.size:
-            a[nodes] = True
-        return cls(a)
+        """The mask of `nodes` (any iterable of ids in 0..n-1, in any order,
+        repeats allowed)."""
+        if not isinstance(nodes, np.ndarray):
+            nodes = list(nodes)
+        ids = np.array(nodes, dtype=np.int64)  # a copy: the mask owns its ids
+        if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+            ids = np.unique(ids)
+        if ids.size and (ids[0] < 0 or ids[-1] >= n):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(f"node {bad} out of range for n={n}")
+        # the numpy view and the bytes buffer share one block of memory
+        buf = bytearray(n)
+        mask = cls(np.frombuffer(buf, dtype=bool))
+        mask.alive[ids] = True
+        ids.flags.writeable = False
+        mask._bytes, mask._ids, mask._count = buf, ids, int(ids.size)
+        return mask
 
     def as_bytes(self) -> bytearray:
         if self._bytes is None:
-            self._bytes = bytearray(self.alive.astype(np.uint8).tobytes())
+            self._bytes = bytearray(self.alive.tobytes())
         return self._bytes
 
     def count(self) -> int:
@@ -156,7 +181,12 @@ class NodeMask:
         return self._count
 
     def node_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.alive)
+        """The alive node ids, ascending (read-only)."""
+        if self._ids is None:
+            ids = np.flatnonzero(self.alive)
+            ids.flags.writeable = False
+            self._ids = ids
+        return self._ids
 
     def without(self, nodes: Iterable[int]) -> "NodeMask":
         a = self.alive.copy()
@@ -164,7 +194,6 @@ class NodeMask:
         if nodes.size:
             a[nodes] = False
         return NodeMask(a)
-
 
 
 @dataclass(frozen=True)
@@ -202,12 +231,23 @@ class BarrierSpec:
 
 
 # ----------------------------------------------------------------------------
-# Scratch buffers: repeated small BFS calls on a big graph should cost
+# Traversal workspace: repeated small BFS calls on a big graph should cost
 # O(touched), not O(n). Stamp arrays avoid clearing between calls.
 # ----------------------------------------------------------------------------
 
 
 class Scratch:
+    """A graph's traversal workspace: n-length `dist`, `parent` and `stamp`
+    lists, allocated once per graph (`Graph.scratch`) and reused by every
+    traversal, which opens its own generation with `begin()`. A node belongs
+    to the current traversal iff its stamp equals that generation, so no
+    buffer is ever cleared.
+
+    BFS state is readable only until the next `begin()`: a stage may not
+    call into another stage (or any traversal) while it still reads
+    `dist`, `parent` or `stamp`.
+    """
+
     __slots__ = ("dist", "stamp", "parent", "gen")
 
     def __init__(self, n: int):
@@ -233,40 +273,34 @@ def _bfs_layers(
 
     Returns (cum, touched): cum[r] = number of alive nodes at distance <= r
     from the source set, for r up to the last explored layer; touched lists
-    reached nodes in BFS order. Distances stay readable via scratch until
-    the next begin(). Stops early when the frontier dies, when r_max layers
-    were explored, or (after finishing a layer) when cum >= stop_size.
+    reached nodes in BFS order, so touched[cum[r-1]:cum[r]] is layer r.
+    Stops early when the frontier dies, when r_max layers were explored, or
+    (after finishing a layer) when cum >= stop_size.
     """
     gen = scratch.begin()
-    dist, stamp = scratch.dist, scratch.stamp
+    stamp = scratch.stamp
     frontier = []
     for s in sources:
         if stamp[s] != gen:
             stamp[s] = gen
-            dist[s] = 0
             frontier.append(s)
     touched = list(frontier)
-    cum = [len(frontier)]
-    r = 0
-    while frontier:
-        if r_max is not None and r >= r_max:
-            break
-        if stop_size is not None and cum[-1] >= stop_size:
-            break
+    cum = [len(touched)]
+    # no limit given: a BFS has fewer than n layers and reaches at most n nodes
+    max_layers = len(adj) if r_max is None else r_max
+    stop = len(adj) + 1 if stop_size is None else stop_size
+    while len(cum) <= max_layers and cum[-1] < stop:
         nxt = []
-        d = r + 1
         for u in frontier:
             for w in adj[u]:
                 if alive[w] and stamp[w] != gen:
                     stamp[w] = gen
-                    dist[w] = d
                     nxt.append(w)
         if not nxt:
             break
-        touched.extend(nxt)
-        cum.append(cum[-1] + len(nxt))
+        touched += nxt
+        cum.append(len(touched))
         frontier = nxt
-        r = d
     return cum, touched
 
 
@@ -320,22 +354,21 @@ def _preorder(
 
     Children are visited in ascending id order; a node is emitted before
     its children. Preorder is the fixed traversal used wherever nodes of a
-    component need a canonical linear order.
+    component need a canonical linear order. The tree's BFS state stays
+    readable in scratch.
     """
-    touched, _ = _bfs_tree(adj, alive, root, scratch)
-    children: dict[int, list[int]] = {v: [] for v in touched}
-    parent = scratch.parent
-    for v in touched:
-        if v != root:
-            children[parent[v]].append(v)
+    _bfs_tree(adj, alive, root, scratch)
+    gen, stamp, parent = scratch.gen, scratch.stamp, scratch.parent
     order = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
-        kids = children[v]
-        kids.sort()
-        stack.extend(reversed(kids))
+        # the children of v, pushed in descending order so that they pop
+        # ascending (adjacency lists are sorted)
+        for w in reversed(adj[v]):
+            if parent[w] == v and stamp[w] == gen:
+                stack.append(w)
     return order
 
 
@@ -365,14 +398,10 @@ def bfs_layers(
     for s in src:
         if not alive[s]:
             raise ValueError(f"source {s} is not alive")
-    scratch = Scratch(g.n)
-    cum, touched = _bfs_layers(g.adj, alive, src, scratch, r_max=r_max)
+    cum, touched = _bfs_layers(g.adj, alive, src, g.scratch, r_max=r_max)
     dist = np.full(g.n, -1, dtype=np.int64)
-    sd = scratch.dist
-    for v in touched:
-        dist[v] = sd[v]
-    while len(cum) < r_max + 1:
-        cum.append(cum[-1])
+    dist[touched] = np.repeat(np.arange(len(cum)), np.diff(cum, prepend=0))
+    cum += [cum[-1]] * (r_max + 1 - len(cum))
     return cum, dist
 
 
@@ -380,25 +409,23 @@ def connected_components(g: Graph, mask: NodeMask) -> list[np.ndarray]:
     """Partition of the alive nodes into components, ordered by min node id.
 
     Each component is a sorted ascending array. Empty mask gives [].
+    A node is seen once it carries this call's stamp in the workspace.
     """
     alive = mask.as_bytes()
-    seen = bytearray(g.n)
-    comps = []
     adj = g.adj
+    scratch = g.scratch
+    gen = scratch.begin()
+    stamp = scratch.stamp
+    comps = []
     for v in mask.node_ids().tolist():
-        if not seen[v]:
+        if stamp[v] != gen:
             comp = [v]
-            seen[v] = 1
-            frontier = [v]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in adj[u]:
-                        if alive[w] and not seen[w]:
-                            seen[w] = 1
-                            nxt.append(w)
-                comp.extend(nxt)
-                frontier = nxt
+            stamp[v] = gen
+            for u in comp:  # the loop also visits the nodes it appends
+                for w in adj[u]:
+                    if alive[w] and stamp[w] != gen:
+                        stamp[w] = gen
+                        comp.append(w)
             comp.sort()
             comps.append(np.asarray(comp, dtype=np.int64))
     return comps

@@ -31,14 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import (
-    Graph,
-    NodeMask,
-    Scratch,
-    _bfs_layers,
-    _preorder,
-    connected_components,
-)
+from .graph import Graph, NodeMask, _bfs_layers, _preorder, connected_components
 from .ledger import RoundLedger, merge_parallel
 from .seeding import derive_seed
 from .strong import StrongCarving, StrongCluster
@@ -194,7 +187,7 @@ def cut_or_cluster(
 
     alive = mask.as_bytes()
     adj = g.adj
-    scratch = Scratch(g.n)
+    scratch = g.scratch
     vstar = int(alive_ids[0])
     order = _preorder(adj, alive, vstar, scratch)
     ecc = max(scratch.dist[v] for v in order)
@@ -234,9 +227,9 @@ def cut_or_cluster(
                 raise InvariantViolation(
                     f"separator layer of {sep_size} nodes exceeds (rho-1)n"
                 )
-            dist = scratch.dist
-            v1 = sorted(v for v in touched if dist[v] <= r_star)
-            sep = sorted(v for v in touched if dist[v] == r_star + 1)
+            # touched is in BFS order: the first cum[r] nodes are the r-ball
+            v1 = sorted(touched[: cum[r_star]])
+            sep = sorted(touched[cum[r_star] : cum[r_star + 1]])
             inside = set(v1) | set(sep)
             v2 = sorted(int(v) for v in alive_ids if int(v) not in inside)
             if 3 * len(v1) < n or 3 * len(v2) < n:
@@ -270,9 +263,8 @@ def cut_or_cluster(
     halo_size = cum[r_star + 1] - cum[r_star]
     if halo_size > (rho - 1) * n:
         raise InvariantViolation(f"halo layer of {halo_size} nodes exceeds (rho-1)n")
-    dist = scratch.dist
-    comp = sorted(w for w in touched if dist[w] <= r_star)
-    halo = sorted(w for w in touched if dist[w] == r_star + 1)
+    comp = sorted(touched[: cum[r_star]])
+    halo = sorted(touched[cum[r_star] : cum[r_star + 1]])
     if 3 * len(comp) < n:
         raise InvariantViolation("component smaller than n/3")
     outcome = CutOrClusterOutcome(
@@ -400,6 +392,9 @@ def refine(
         return level_ledger
 
     ledger = process(mask.node_ids(), 1)
+    # `process` calls itself through its closure; emptying that cell breaks
+    # the cycle, which would keep `g` alive until a full garbage collection
+    del process
     if len(dead_bb) + len(dead_bd) > eps * n0:
         raise InvariantViolation("refinement exceeded the total dead budget")
     return StrongCarving(

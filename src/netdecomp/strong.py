@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, bfs_layers, connected_components
+from .graph import Graph, NodeMask, _bfs_layers, connected_components
 from .ledger import RoundLedger, charge_bfs, charge_steiner_aggregate, merge_parallel
 from .seeding import derive_seed
 from .weak import WeakCarving, WeakCluster
@@ -137,7 +137,9 @@ def grow_ball(
     if not mask.alive[center]:
         raise ValueError(f"center {center} is dead")
     thin = 1.0 - eps / 2
-    cum, dist = bfs_layers(g, mask, [center], r_start + k_growth + 1)
+    r_max = r_start + k_growth + 1
+    cum, touched = _bfs_layers(g.adj, mask.as_bytes(), [center], g.scratch, r_max=r_max)
+    cum += [cum[-1]] * (r_max + 1 - len(cum))
     r_star = -1
     for r in range(r_start, r_start + k_growth + 1):
         if cum[r] >= thin * cum[r + 1]:
@@ -148,8 +150,9 @@ def grow_ball(
             "no thin layer within the growth window; "
             f"ball sizes {cum[r_start:]} with eps={eps}"
         )
-    ball = np.flatnonzero((dist >= 0) & (dist <= r_star))
-    boundary = np.flatnonzero(dist == r_star + 1)
+    # touched is in BFS order: the first cum[r] nodes are the r-ball
+    ball = np.sort(np.asarray(touched[: cum[r_star]], dtype=np.int64))
+    boundary = np.sort(np.asarray(touched[cum[r_star] : cum[r_star + 1]], dtype=np.int64))
     return r_star, ball, boundary
 
 

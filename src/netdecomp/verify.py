@@ -15,6 +15,7 @@ Each verifier has an independently coded slow twin in `dense_check`
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -84,9 +85,9 @@ def _in_range(g: Graph, nodes: set[int]) -> set[int]:
     return {v for v in nodes if 0 <= v < g.n}
 
 
-def _owners(cluster_sets: dict[int, set[int]]) -> dict[int, int]:
-    """Node -> id of the (last) cluster holding it."""
-    return {v: k for k, nodes in cluster_sets.items() for v in nodes}
+def _owners(cluster_sets: list[set[int]]) -> dict[int, int]:
+    """Node -> position of the (last) cluster holding it."""
+    return {v: k for k, nodes in enumerate(cluster_sets) for v in nodes}
 
 
 def _check_partition(
@@ -113,11 +114,18 @@ def _check_partition(
 
 
 def _check_cluster_adjacency(
-    g: Graph, owner: dict[int, int], out: list[Violation], colors: dict[int, int] | None = None
+    g: Graph,
+    owner: dict[int, int],
+    out: list[Violation],
+    colors: list[int] | None = None,
+    ids: list[int] | None = None,
 ) -> None:
     """Edge scan: no alive edge may join two distinct (same-color) clusters.
 
-    One violation per offending cluster pair, with a witness edge.
+    `owner` maps a node to its cluster's position, `colors` is indexed by
+    position, and a witness names a cluster by `ids[position]` (by its
+    position when `ids` is None). One violation per offending cluster pair,
+    with a witness edge.
     """
     seen_pairs: dict[tuple[int, int], list[int]] = {}
     for u in owner:
@@ -134,11 +142,9 @@ def _check_cluster_adjacency(
             if pair not in seen_pairs:
                 seen_pairs[pair] = [u, v]
     for pair in sorted(seen_pairs):
+        named = list(pair) if ids is None else [ids[k] for k in pair]
         out.append(
-            Violation(
-                "adjacent-same-color",
-                {"edge": seen_pairs[pair], "clusters": list(pair)},
-            )
+            Violation("adjacent-same-color", {"edge": seen_pairs[pair], "clusters": named})
         )
 
 
@@ -184,7 +190,7 @@ def verify_weak_carving(g: Graph, mask: NodeMask, w, eps: float) -> list[Violati
     cluster_sets = [_as_int_set(c.nodes) for c in w.clusters]
     dead = _as_int_set(w.dead)
     _check_partition(alive_ids, cluster_sets + [dead], out)
-    cluster_sets = {k: _in_range(g, nodes) for k, nodes in enumerate(cluster_sets)}
+    cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
 
     if len(dead) > eps * len(alive_ids):
         out.append(
@@ -310,7 +316,7 @@ def verify_strong_carving(
     cluster_sets = [_as_int_set(cl.nodes) for cl in c.clusters]
     dead = _as_int_set(c.dead)
     _check_partition(alive_ids, cluster_sets + [dead], out)
-    cluster_sets = {k: _in_range(g, nodes) for k, nodes in enumerate(cluster_sets)}
+    cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
     if len(dead) > eps * len(alive_ids):
         out.append(
             Violation(
@@ -321,7 +327,7 @@ def verify_strong_carving(
             )
         )
     _check_cluster_adjacency(g, _owners(cluster_sets), out)
-    for k, nodes in cluster_sets.items():
+    for k, nodes in enumerate(cluster_sets):
         if nodes:
             _check_cluster_geometry(g, k, nodes, d_bound, out)
     return out
@@ -336,17 +342,23 @@ def verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> Violation
     """Check a network decomposition: total partition of V, color count,
     same-color non-adjacency, and per-cluster connectivity + diameter.
 
-    `d` needs: clusters (objects with .id, .color, .nodes). The result's
-    `diameters` is keyed by cluster id.
+    `d` needs: clusters (objects with .id, .color, .nodes). Every cluster
+    is checked, also one whose id another cluster repeats; a repeated id is
+    a `not-partition` violation. Witnesses name clusters by id, and the
+    result's `diameters` is keyed by cluster id.
     """
     out = Violations()
-    all_ids = set(range(g.n))
-    cluster_sets = {int(cl.id): _as_int_set(cl.nodes) for cl in d.clusters}
-    colors = {int(cl.id): int(cl.color) for cl in d.clusters}
-    _check_partition(all_ids, list(cluster_sets.values()), out)
-    cluster_sets = {cid: _in_range(g, nodes) for cid, nodes in cluster_sets.items()}
+    clusters = list(d.clusters)
+    ids = [int(cl.id) for cl in clusters]
+    colors = [int(cl.color) for cl in clusters]
+    cluster_sets = [_as_int_set(cl.nodes) for cl in clusters]
+    _check_partition(set(range(g.n)), cluster_sets, out)
+    repeated = sorted(cid for cid, uses in Counter(ids).items() if uses > 1)
+    if repeated:
+        out.append(Violation("not-partition", {"reason": "duplicate-id", "ids": repeated[:8]}))
+    cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
 
-    used_colors = set(colors.values())
+    used_colors = set(colors)
     if used_colors and (min(used_colors) < 1 or len(used_colors) > c_bound):
         out.append(
             Violation(
@@ -356,8 +368,8 @@ def verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> Violation
                 bound=c_bound,
             )
         )
-    _check_cluster_adjacency(g, _owners(cluster_sets), out, colors=colors)
-    for cid, nodes in cluster_sets.items():
+    _check_cluster_adjacency(g, _owners(cluster_sets), out, colors=colors, ids=ids)
+    for cid, nodes in zip(ids, cluster_sets):
         if nodes:
             _check_cluster_geometry(g, cid, nodes, d_bound, out)
     return out

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, Scratch, _bfs_tree, connected_components
+from .graph import Graph, NodeMask, _bfs_tree, connected_components
 from .ledger import RoundLedger, charge_leader_election, merge_parallel
 from .seeding import rng_from
 
@@ -172,7 +172,7 @@ def linial_saks_black_box(g, mask, eps, seed):
 
 def _trivial_component(g, mask, comp):
     alive = mask.as_bytes()
-    scratch = Scratch(g.n)
+    scratch = g.scratch
     root = int(comp[0])
     touched, ecc = _bfs_tree(g.adj, alive, root, scratch)
     parent = {v: scratch.parent[v] for v in touched if v != root}
@@ -207,7 +207,7 @@ def _linial_saks_component(g, mask, comp, eps, seed, r_cap):
         rng = rng_from(seed, comp_list[0], attempt)
         radii_arr = _draw_radii(rng, k, p, r_cap)
         radii = dict(zip(comp_list, radii_arr.tolist()))
-        winner, slack, rounds = _claim(adj, alive, comp_list, radii)
+        winner, slack, rounds = _claim(adj, alive, comp_list, radii, g.scratch)
         dead = [v for v in comp_list if slack[v] == 0]
         led = RoundLedger()
         led.add("ls-broadcast", rounds + 1)
@@ -223,7 +223,7 @@ def _linial_saks_component(g, mask, comp, eps, seed, r_cap):
     )
 
 
-def _claim(adj, alive, comp_list, radii):
+def _claim(adj, alive, comp_list, radii, scratch):
     """Assign each node the highest-id broadcaster reaching it, plus slack.
 
     Processes broadcasters in descending id order. best_budget[v] records the
@@ -232,8 +232,14 @@ def _claim(adj, alive, comp_list, radii):
     since anything it could reach beyond v is already covered by the earlier
     broadcast. This prunes dominated floods without changing any winner, and
     recorded slacks equal radius minus true graph distance.
+
+    best_budget is the workspace's `dist` list, reset to -1 on the component:
+    a flood only reaches alive neighbours, which lie in the same component.
     """
-    best_budget: dict[int, int] = {}
+    scratch.begin()
+    best_budget = scratch.dist
+    for v in comp_list:
+        best_budget[v] = -1
     winner: dict[int, int] = {}
     slack: dict[int, int] = {}
     unclaimed = len(comp_list)
@@ -242,7 +248,7 @@ def _claim(adj, alive, comp_list, radii):
         if unclaimed == 0:
             break
         ru = radii[u]
-        if best_budget.get(u, -1) >= ru:
+        if best_budget[u] >= ru:
             continue
         best_budget[u] = ru
         if u not in winner:
@@ -258,7 +264,7 @@ def _claim(adj, alive, comp_list, radii):
             nxt = []
             for x in frontier:
                 for w in adj[x]:
-                    if alive[w] and best_budget.get(w, -1) < b:
+                    if alive[w] and best_budget[w] < b:
                         best_budget[w] = b
                         if w not in winner:
                             winner[w] = u
@@ -275,7 +281,7 @@ def _build_clusters(g, alive, winner, slack, radii):
     for v, u in winner.items():
         if slack[v] >= 1:
             members.setdefault(u, []).append(v)
-    scratch = Scratch(g.n)
+    scratch = g.scratch
     clusters = []
     for root in sorted(members):
         nodes = sorted(members[root])

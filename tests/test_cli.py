@@ -155,12 +155,12 @@ def test_invariant_violation_exit_5(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------------
 
 
-def _verify_clustering(tmp_path, clustering, mode="decomposition"):
-    gfile = tmp_path / "p5.g"
-    assert run(["gen", "--type", "path", "--n", "5", "--out", str(gfile)]) == 0
+def _verify_clustering(tmp_path, clustering, mode="decomposition", n=5, flags=()):
+    gfile = tmp_path / f"p{n}.g"
+    assert run(["gen", "--type", "path", "--n", str(n), "--out", str(gfile)]) == 0
     dfile = tmp_path / "d.json"
     dfile.write_text(clustering if isinstance(clustering, str) else json.dumps(clustering))
-    return run(["verify", "--mode", mode, "--in", str(gfile), "--clustering", str(dfile)])
+    return run(["verify", "--mode", mode, "--in", str(gfile), "--clustering", str(dfile), *flags])
 
 
 @pytest.mark.parametrize(
@@ -188,6 +188,39 @@ def test_malformed_carving_dead_entry_exit_4(tmp_path):
 
 def test_unparsable_clustering_json_exit_1(tmp_path):
     assert _verify_clustering(tmp_path, "{not json") == 1
+
+
+def _printed_violations(capsys) -> list[dict]:
+    out = capsys.readouterr().out.splitlines()
+    return [json.loads(line) for line in out if line.startswith("{")]
+
+
+def test_repeated_cluster_id_exit_3(tmp_path, capsys):
+    clustering = {
+        "clusters": [{"id": 0, "color": 1, "nodes": [0, 1]}, {"id": 0, "color": 1, "nodes": [2, 3]}]
+    }
+    assert _verify_clustering(tmp_path, clustering, n=4) == 3
+    found = _printed_violations(capsys)
+    assert {"kind": "not-partition", "witness": {"reason": "duplicate-id", "ids": [0]}} in found
+    assert {"kind": "adjacent-same-color", "witness": {"edge": [1, 2], "clusters": [0, 0]}} in found
+    assert all(v["witness"].get("reason") != "uncovered" for v in found)
+
+
+# one cluster of diameter 4 on a 5-node path, recorded bound 4: valid by default
+_ONE_CLUSTER = {
+    "colors": 1,
+    "clusters": [{"id": 0, "color": 1, "nodes": [0, 1, 2, 3, 4]}],
+    "stats": {"diameter_bound": 4},
+}
+
+
+def test_zero_bounds_are_bounds(tmp_path, capsys):
+    assert _verify_clustering(tmp_path, _ONE_CLUSTER) == 0
+    capsys.readouterr()
+    assert _verify_clustering(tmp_path, _ONE_CLUSTER, flags=["--d-bound", "0"]) == 3
+    assert [v["kind"] for v in _printed_violations(capsys)] == ["diameter-exceeded"]
+    assert _verify_clustering(tmp_path, _ONE_CLUSTER, flags=["--c-bound", "0"]) == 3
+    assert [v["kind"] for v in _printed_violations(capsys)] == ["color-bound-exceeded"]
 
 
 # ----------------------------------------------------------------------------

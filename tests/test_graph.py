@@ -159,6 +159,36 @@ def test_components_partition_alive_set():
                         assert owner[u] == owner[v]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_from_nodes_keeps_sorted_unique_ids(data):
+    n = data.draw(st.integers(1, 60))
+    nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    array = np.asarray(nodes, dtype=np.int64)
+    mask = NodeMask.from_nodes(n, array if data.draw(st.booleans()) else iter(nodes))
+    expect = np.flatnonzero(mask.alive)
+    assert expect.tolist() == sorted(set(nodes))
+    assert mask.count() == expect.size
+    assert mask.node_ids().tolist() == expect.tolist()
+    assert bytes(mask.as_bytes()) == mask.alive.tobytes()
+    assert array.flags.writeable  # the caller's array is copied, not frozen
+
+
+def test_from_nodes_rejects_out_of_range_ids():
+    for nodes in ([5], [-1, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            NodeMask.from_nodes(5, nodes)
+
+
+def test_traversals_share_one_workspace_per_graph():
+    g = generate("path", n=9)
+    assert g.scratch is g.scratch
+    mask = NodeMask.from_nodes(9, [0, 1, 2, 4, 5, 7])
+    first = [c.tolist() for c in connected_components(g, mask)]
+    bfs_layers(g, mask, [4], 3)  # another traversal in between
+    assert [c.tolist() for c in connected_components(g, mask)] == first == [[0, 1, 2], [4, 5], [7]]
+
+
 # ----------------------------------------------------------------------------
 # generators
 # ----------------------------------------------------------------------------

@@ -1,0 +1,67 @@
+"""A call on a small part of a big graph allocates part-sized memory.
+
+The strong pipeline calls the weak black box, and the component split, on
+thousands of small parts; each such call must cost O(part), not O(n). The
+graph, its adjacency lists and the part's mask are built before measuring,
+and each call runs once unmeasured first, so that the graph's traversal
+workspace exists (it is built once per graph, like the adjacency lists).
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from netdecomp import (
+    NodeMask,
+    carve_strong,
+    connected_components,
+    cut_or_cluster,
+    generate,
+    grow_ball,
+    linial_saks_black_box,
+    weak_carve,
+)
+
+N = 200_000
+PART = range(100_000, 100_040)  # 40 consecutive nodes: a connected part
+KIB = 1024
+
+
+@pytest.fixture(scope="module")
+def part():
+    g = generate("path", n=N)
+    g.adj
+    mask = NodeMask.from_nodes(N, PART)
+    mask.as_bytes()
+    return g, mask
+
+
+def peak_bytes(call) -> int:
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+CALLS = {
+    "connected_components": (lambda g, m: connected_components(g, m), 64 * KIB),
+    "weak_carve-trivial": (lambda g, m: weak_carve(g, m, 0.1, 3, impl="trivial"), 64 * KIB),
+    "weak_carve-linial_saks": (lambda g, m: weak_carve(g, m, 0.1, 3), 64 * KIB),
+    "grow_ball": (lambda g, m: grow_ball(g, m, 100_020, 0, 6, 0.5), 64 * KIB),
+    "cut_or_cluster": (lambda g, m: cut_or_cluster(g, m, 0.5), 64 * KIB),
+    # builds an n-length mask per part; bounded by the few alive at a time
+    "carve_strong": (lambda g, m: carve_strong(g, m, 0.5, 3, linial_saks_black_box), 1024 * KIB),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_part_sized_call_allocates_part_sized_memory(part, name):
+    g, mask = part
+    call, bound = CALLS[name]
+    peak = peak_bytes(lambda: call(g, mask))
+    assert peak < bound, f"{name} on a 40-node part of {N} nodes peaked at {peak} bytes"

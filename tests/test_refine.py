@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,7 @@ from netdecomp import (
     linial_saks_black_box,
     verify_strong_carving,
 )
-from netdecomp.graph import Scratch, _preorder
+from netdecomp.graph import _preorder
 from netdecomp.refine import _halve
 
 from conftest import (
@@ -67,9 +69,8 @@ def halve(g, seeds, b):
     """One halving step on the whole (connected) graph, with the preorder
     positions cut_or_cluster computes once per call."""
     alive = NodeMask.full(g.n).as_bytes()
-    scratch = Scratch(g.n)
-    pos = {v: i for i, v in enumerate(_preorder(g.adj, alive, 0, scratch))}
-    return _halve(g.adj, alive, [int(v) for v in seeds], pos, scratch, g.n, b)
+    pos = {v: i for i, v in enumerate(_preorder(g.adj, alive, 0, g.scratch))}
+    return _halve(g.adj, alive, [int(v) for v in seeds], pos, g.scratch, g.n, b)
 
 
 def test_halve_two_node_edge():
@@ -221,3 +222,17 @@ def test_refined_bound_monotone_in_n():
     vals = [refined_diameter_bound(n, 0.5) for n in (2, 16, 256, 4096)]
     assert vals == sorted(vals)
     assert refined_diameter_bound(1000, 0.25) > refined_diameter_bound(1000, 0.5)
+
+
+def test_refine_frees_the_graph_without_a_garbage_collection():
+    # a reference cycle through the graph (and its traversal workspace)
+    # would keep both alive until the next full collection
+    g = generate("path", n=300)
+    alive = weakref.ref(g)
+    gc.disable()
+    try:
+        refine(g, NodeMask.full(g.n), 0.5, 1, make_strong_carver(linial_saks_black_box))
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()

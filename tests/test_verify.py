@@ -20,6 +20,7 @@ from netdecomp import (
 )
 from netdecomp.dense_check import (
     dense_no_large_lowdiam_component,
+    dense_verify_decomposition,
     dense_verify_strong_carving,
     dense_verify_weak_carving,
 )
@@ -64,6 +65,23 @@ def test_uncovered_node_not_partition():
     d = _decomp(3, [(1, [0, 1])])
     kinds = {v.kind for v in verify_decomposition(g, d, 2, 2)}
     assert "not-partition" in kinds
+
+
+def test_repeated_cluster_id_checks_both_clusters():
+    # two clusters with id 0: both are checked, so the same-colored edge 1-2
+    # between them is found and nodes 0, 1 are not reported uncovered
+    g = generate("path", n=4)
+    d = _decomp(4, [(1, [0, 1]), (1, [2, 3])])
+    for c in d.clusters:
+        c.id = 0
+    for verifier in (verify_decomposition, dense_verify_decomposition):
+        violations = verifier(g, d, 2, 3)
+        assert sorted(v.kind for v in violations) == ["adjacent-same-color", "not-partition"]
+        assert [v.witness["reason"] for v in violations if v.kind == "not-partition"] == [
+            "duplicate-id"
+        ]
+    adjacent = [v for v in verify_decomposition(g, d, 2, 3) if v.kind == "adjacent-same-color"]
+    assert adjacent[0].witness == {"edge": [1, 2], "clusters": [0, 0]}
 
 
 def test_color_bound_exceeded():
