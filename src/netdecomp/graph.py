@@ -43,9 +43,12 @@ class Graph:
 
     Invariants: no self-loops, no multi-edges, u in adj(v) iff v in adj(u),
     neighbor lists sorted ascending. The edges never change after
-    construction. Every traversal the algorithms run on the graph reuses its
-    one `scratch` workspace, so at most one traversal may run on a graph at
-    a time; no library code uses threads.
+    construction. The CSR arrays serve numpy work (subgraph copies, text
+    output); `adj` holds the same lists as Python lists for the scalar BFS
+    loops, which walk them three to four times faster than slices of the
+    CSR. Every traversal the algorithms run on the graph reuses its one
+    `scratch` workspace, so at most one traversal may run on a graph at a
+    time; no library code uses threads.
     """
 
     n: int
@@ -131,20 +134,28 @@ def graph_from_edges(n: int, edges) -> Graph:
 class NodeMask:
     """Boolean alive-mask over a graph's nodes; induced-subgraph view.
 
-    Treated as immutable: derived masks are new objects. The bytes buffer
-    mirrors the numpy array for fast scalar indexing in BFS loops. A mask
-    built by `from_nodes` also keeps its sorted node ids, so `count()` and
-    `node_ids()` cost O(part) instead of a scan over all n nodes.
+    Immutable, and complete from construction: the mask owns one n-byte
+    block, read as the read-only numpy view `alive` and as the bytes buffer
+    the BFS loops index, and it holds its sorted node ids, so `count()` and
+    `node_ids()` cost nothing. `NodeMask(alive)` copies the caller's array
+    into that block; `from_nodes` fills it from a part's ids, so building
+    the mask of a k-node part scans no n-length array. Derived masks are
+    new objects.
     """
 
-    __slots__ = ("alive", "_bytes", "_count", "_ids")
+    __slots__ = ("alive", "_bytes", "_ids")
 
     def __init__(self, alive: np.ndarray):
         alive = np.asarray(alive, dtype=bool)
-        self.alive = alive
-        self._bytes: bytearray | None = None
-        self._count: int | None = None
-        self._ids: np.ndarray | None = None
+        self._own(bytearray(alive.tobytes()), np.flatnonzero(alive))
+
+    def _own(self, buf: bytearray, ids: np.ndarray) -> None:
+        """Take `buf` as this mask's block and `ids` as its alive ids."""
+        self._bytes = buf
+        self.alive = np.frombuffer(buf, dtype=bool)
+        self.alive.flags.writeable = False
+        ids.flags.writeable = False
+        self._ids = ids
 
     @classmethod
     def full(cls, n: int) -> "NodeMask":
@@ -159,41 +170,37 @@ class NodeMask:
         ids = np.array(nodes, dtype=np.int64)  # a copy: the mask owns its ids
         if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
             ids = np.unique(ids)
-        if ids.size and (ids[0] < 0 or ids[-1] >= n):
-            bad = ids[0] if ids[0] < 0 else ids[-1]
-            raise ValueError(f"node {bad} out of range for n={n}")
-        # the numpy view and the bytes buffer share one block of memory
+        _check_sorted_ids(ids, n)
         buf = bytearray(n)
-        mask = cls(np.frombuffer(buf, dtype=bool))
-        mask.alive[ids] = True
-        ids.flags.writeable = False
-        mask._bytes, mask._ids, mask._count = buf, ids, int(ids.size)
+        np.frombuffer(buf, dtype=bool)[ids] = True
+        mask = cls.__new__(cls)
+        mask._own(buf, ids)
         return mask
 
     def as_bytes(self) -> bytearray:
-        if self._bytes is None:
-            self._bytes = bytearray(self.alive.tobytes())
         return self._bytes
 
     def count(self) -> int:
-        if self._count is None:
-            self._count = int(self.alive.sum())
-        return self._count
+        return int(self._ids.size)
 
     def node_ids(self) -> np.ndarray:
         """The alive node ids, ascending (read-only)."""
-        if self._ids is None:
-            ids = np.flatnonzero(self.alive)
-            ids.flags.writeable = False
-            self._ids = ids
         return self._ids
 
     def without(self, nodes: Iterable[int]) -> "NodeMask":
+        drop = np.unique(np.asarray(list(nodes), dtype=np.int64))
+        _check_sorted_ids(drop, self.alive.size)
         a = self.alive.copy()
-        nodes = np.asarray(list(nodes), dtype=np.int64)
-        if nodes.size:
-            a[nodes] = False
+        a[drop] = False
         return NodeMask(a)
+
+
+def _check_sorted_ids(ids: np.ndarray, n: int) -> None:
+    """Raise ValueError naming an id of the ascending `ids` outside 0..n-1,
+    if there is one."""
+    if ids.size and (ids[0] < 0 or ids[-1] >= n):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise ValueError(f"node {bad} out of range for n={n}")
 
 
 @dataclass(frozen=True)
@@ -237,21 +244,24 @@ class BarrierSpec:
 
 
 class Scratch:
-    """A graph's traversal workspace: n-length `dist`, `parent` and `stamp`
+    """A graph's traversal workspace: n-length `stamp`, `parent` and `budget`
     lists, allocated once per graph (`Graph.scratch`) and reused by every
     traversal, which opens its own generation with `begin()`. A node belongs
     to the current traversal iff its stamp equals that generation, so no
     buffer is ever cleared.
 
-    BFS state is readable only until the next `begin()`: a stage may not
-    call into another stage (or any traversal) while it still reads
-    `dist`, `parent` or `stamp`.
+    Traversals mark nodes in `stamp`, and `_bfs_layers` records each
+    node's first discoverer in `parent`. `budget` holds the largest
+    remaining broadcast range seen at each node by the Linial-Saks claim
+    (`weak._claim`), its only user. State is readable only until the next
+    `begin()`: a stage may not call into another stage (or any traversal)
+    while it still reads the workspace.
     """
 
-    __slots__ = ("dist", "stamp", "parent", "gen")
+    __slots__ = ("budget", "stamp", "parent", "gen")
 
     def __init__(self, n: int):
-        self.dist = [0] * n
+        self.budget = [0] * n
         self.stamp = [0] * n
         self.parent = [0] * n
         self.gen = 0
@@ -269,20 +279,23 @@ def _bfs_layers(
     r_max: int | None = None,
     stop_size: int | None = None,
 ) -> tuple[list[int], list[int]]:
-    """Layered BFS inside the alive mask.
+    """Layered BFS inside the alive mask: the one traversal kernel.
 
     Returns (cum, touched): cum[r] = number of alive nodes at distance <= r
     from the source set, for r up to the last explored layer; touched lists
-    reached nodes in BFS order, so touched[cum[r-1]:cum[r]] is layer r.
-    Stops early when the frontier dies, when r_max layers were explored, or
-    (after finishing a layer) when cum >= stop_size.
+    reached nodes in BFS order, so touched[cum[r-1]:cum[r]] is layer r and
+    len(cum) - 1 is the depth reached. scratch.parent[v] is the first
+    discoverer of each reached node (-1 for a source), so the parents form
+    a BFS forest. Stops early when the frontier dies, when r_max layers were
+    explored, or (after finishing a layer) when cum >= stop_size.
     """
     gen = scratch.begin()
-    stamp = scratch.stamp
+    stamp, parent = scratch.stamp, scratch.parent
     frontier = []
     for s in sources:
         if stamp[s] != gen:
             stamp[s] = gen
+            parent[s] = -1
             frontier.append(s)
     touched = list(frontier)
     cum = [len(touched)]
@@ -295,6 +308,7 @@ def _bfs_layers(
             for w in adj[u]:
                 if alive[w] and stamp[w] != gen:
                     stamp[w] = gen
+                    parent[w] = u
                     nxt.append(w)
         if not nxt:
             break
@@ -304,60 +318,21 @@ def _bfs_layers(
     return cum, touched
 
 
-def _bfs_tree(
-    adj: tuple,
-    alive: bytearray,
-    root: int,
-    scratch: Scratch,
-    r_max: int | None = None,
-) -> tuple[list[int], int]:
-    """BFS tree from a single root; fills scratch.parent for reached nodes.
-
-    parent[root] = -1; otherwise parent = the first discoverer in BFS order.
-    Returns (touched-in-BFS-order, eccentricity-within-explored-range).
-    """
-    gen = scratch.begin()
-    dist, stamp, parent = scratch.dist, scratch.stamp, scratch.parent
-    stamp[root] = gen
-    dist[root] = 0
-    parent[root] = -1
-    frontier = [root]
-    touched = [root]
-    r = 0
-    while frontier:
-        if r_max is not None and r >= r_max:
-            break
-        nxt = []
-        d = r + 1
-        for u in frontier:
-            for w in adj[u]:
-                if alive[w] and stamp[w] != gen:
-                    stamp[w] = gen
-                    dist[w] = d
-                    parent[w] = u
-                    nxt.append(w)
-        if not nxt:
-            break
-        touched.extend(nxt)
-        frontier = nxt
-        r = d
-    return touched, r
-
-
 def _preorder(
     adj: tuple,
     alive: bytearray,
     root: int,
     scratch: Scratch,
-) -> list[int]:
-    """Depth-first preorder of the BFS tree rooted at `root`.
+) -> tuple[list[int], int]:
+    """Depth-first preorder of the BFS tree rooted at `root`, and the root's
+    eccentricity within its component.
 
     Children are visited in ascending id order; a node is emitted before
     its children. Preorder is the fixed traversal used wherever nodes of a
-    component need a canonical linear order. The tree's BFS state stays
-    readable in scratch.
+    component need a canonical linear order; it lists exactly the root's
+    component. The tree's BFS state stays readable in scratch.
     """
-    _bfs_tree(adj, alive, root, scratch)
+    cum, _ = _bfs_layers(adj, alive, [root], scratch)
     gen, stamp, parent = scratch.gen, scratch.stamp, scratch.parent
     order = []
     stack = [root]
@@ -369,7 +344,7 @@ def _preorder(
         for w in reversed(adj[v]):
             if parent[w] == v and stamp[w] == gen:
                 stack.append(w)
-    return order
+    return order, len(cum) - 1
 
 
 # ----------------------------------------------------------------------------
@@ -394,6 +369,7 @@ def bfs_layers(
         raise ValueError("no sources")
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
+    _check_sorted_ids(np.asarray(src), g.n)
     alive = mask.as_bytes()
     for s in src:
         if not alive[s]:
@@ -474,6 +450,7 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     k = int(nodes.size)
     if k == 0:
         raise ValueError("empty node set")
+    _check_sorted_ids(nodes, g.n)
     src, dst = _local_edges(g, nodes)
     ip = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=k), out=ip[1:])

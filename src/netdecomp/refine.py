@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, _bfs_layers, _preorder, connected_components
+from .graph import Graph, NodeMask, _bfs_layers, _preorder
+# Never called here; kept because perfbench/spans.py wraps this name by path.
+from .graph import connected_components  # noqa: F401
 from .ledger import RoundLedger, merge_parallel
 from .seeding import derive_seed
 from .strong import StrongCarving, StrongCluster
@@ -138,12 +140,11 @@ def cut_or_cluster(
     g: Graph,
     mask: NodeMask,
     eps: float,
-    c_layer: int = LAYER_BUDGET_CONSTANT,
 ) -> tuple[CutOrClusterOutcome, RoundLedger]:
     """Balanced sparse cut, or large small-diameter component.
 
     The alive subgraph must be connected. Separator/halo sizes are at most
-    (rho - 1) * n with rho = 1 + eps/(c_layer * ln n); a returned component
+    (rho - 1) * n with rho = 1 + eps/(c_L * ln n); a returned component
     has >= n/3 nodes and diameter at most 2*(a_final + k_l). The ledger
     charges 3*ecc(v*) per halving iteration (tree build, converge-cast,
     broadcast on the canonical BFS tree) plus the final growth BFS, which
@@ -168,30 +169,27 @@ def cut_or_cluster(
             params={"n": 1, "eps": eps},
         )
         return outcome, ledger
-    comps = connected_components(g, mask)
-    if len(comps) != 1:
-        raise ValueError("cut_or_cluster requires a connected alive subgraph")
-
-    ln_n = math.log(n)
-    rho = 1.0 + eps / (c_layer * ln_n)
-    cut_threshold = math.ceil(math.log(2) * c_layer * ln_n / eps) + 2
-    k_l = math.ceil(math.log(3) / math.log(rho)) + 1
-    params = {
-        "n": n,
-        "eps": eps,
-        "c_layer": c_layer,
-        "rho": rho,
-        "cut_threshold": cut_threshold,
-        "k_l": k_l,
-    }
-
     alive = mask.as_bytes()
     adj = g.adj
     scratch = g.scratch
     vstar = int(alive_ids[0])
-    order = _preorder(adj, alive, vstar, scratch)
-    ecc = max(scratch.dist[v] for v in order)
+    order, ecc = _preorder(adj, alive, vstar, scratch)
+    if len(order) != n:
+        raise ValueError("cut_or_cluster requires a connected alive subgraph")
     pos = {v: i for i, v in enumerate(order)}
+
+    ln_n = math.log(n)
+    rho = 1.0 + eps / (LAYER_BUDGET_CONSTANT * ln_n)
+    cut_threshold = math.ceil(math.log(2) * LAYER_BUDGET_CONSTANT * ln_n / eps) + 2
+    k_l = math.ceil(math.log(3) / math.log(rho)) + 1
+    params = {
+        "n": n,
+        "eps": eps,
+        "c_layer": LAYER_BUDGET_CONSTANT,
+        "rho": rho,
+        "cut_threshold": cut_threshold,
+        "k_l": k_l,
+    }
 
     seeds = [int(v) for v in alive_ids]
     iteration = 1
@@ -291,7 +289,7 @@ def _levels_bound(n: int) -> int:
     return max(1, math.ceil(math.log(n) / math.log(1.5)))
 
 
-def refined_diameter_bound(n: int, eps: float, c_layer: int = LAYER_BUDGET_CONSTANT) -> int:
+def refined_diameter_bound(n: int, eps: float) -> int:
     """Worst-case cluster diameter of `refine` on an n-node input.
 
     Every output cluster is a ball found by cut_or_cluster at some level,
@@ -317,7 +315,6 @@ def refine(
     eps: float,
     seed: int,
     strong_carver,
-    c_layer: int = LAYER_BUDGET_CONSTANT,
 ) -> StrongCarving:
     """Refine any strong carving algorithm down to balls of bounded radius.
 
@@ -360,10 +357,8 @@ def refine(
         branch_ledgers = []
         for cl in sc.clusters:
             c_nodes = cl.nodes
-            eps_cc = eps * c_layer * math.log(max(len(c_nodes), 2)) / (4 * lmax)
-            outcome, cc_led = cut_or_cluster(
-                g, NodeMask.from_nodes(g.n, c_nodes), eps_cc, c_layer=c_layer
-            )
+            eps_cc = eps * LAYER_BUDGET_CONSTANT * math.log(max(len(c_nodes), 2)) / (4 * lmax)
+            outcome, cc_led = cut_or_cluster(g, NodeMask.from_nodes(g.n, c_nodes), eps_cc)
             branch = RoundLedger()
             branch.extend(cc_led)
             children: list[np.ndarray] = []
@@ -407,7 +402,7 @@ def refine(
             "seed": seed,
             "levels": lmax,
             "eps_carve": eps_carve,
-            "diameter_bound": refined_diameter_bound(n0, eps, c_layer),
+            "diameter_bound": refined_diameter_bound(n0, eps),
             **stats,
         },
     )

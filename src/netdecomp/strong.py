@@ -49,7 +49,6 @@ class CarvingParams:
     eps_prime: float
     i_max: int
     growth_cap: int
-    ratio_threshold: float
 
     @classmethod
     def for_entry(cls, n: int, eps: float) -> "CarvingParams":
@@ -66,7 +65,6 @@ class CarvingParams:
             eps_prime=eps_prime,
             i_max=i_max,
             growth_cap=growth_cap,
-            ratio_threshold=1.0 / (1.0 - eps / 2),
         )
 
 
@@ -134,6 +132,8 @@ def grow_ball(
         raise ValueError("k_growth must be >= 1")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
+    if not 0 <= center < g.n:
+        raise ValueError(f"center {center} out of range for n={g.n}")
     if not mask.alive[center]:
         raise ValueError(f"center {center} is dead")
     thin = 1.0 - eps / 2

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, _bfs_tree, connected_components
+from .graph import Graph, NodeMask, _bfs_layers, connected_components
 from .ledger import RoundLedger, charge_leader_election, merge_parallel
 from .seeding import rng_from
 
@@ -174,7 +174,8 @@ def _trivial_component(g, mask, comp):
     alive = mask.as_bytes()
     scratch = g.scratch
     root = int(comp[0])
-    touched, ecc = _bfs_tree(g.adj, alive, root, scratch)
+    cum, touched = _bfs_layers(g.adj, alive, [root], scratch)
+    ecc = len(cum) - 1
     parent = {v: scratch.parent[v] for v in touched if v != root}
     tree = SteinerTree(root=root, parent=parent, terminals=comp)
     cluster = WeakCluster(nodes=comp, tree=tree, depth=ecc)
@@ -233,11 +234,11 @@ def _claim(adj, alive, comp_list, radii, scratch):
     broadcast. This prunes dominated floods without changing any winner, and
     recorded slacks equal radius minus true graph distance.
 
-    best_budget is the workspace's `dist` list, reset to -1 on the component:
+    best_budget is the workspace's `budget` list, reset to -1 on the component:
     a flood only reaches alive neighbours, which lie in the same component.
     """
     scratch.begin()
-    best_budget = scratch.dist
+    best_budget = scratch.budget
     for v in comp_list:
         best_budget[v] = -1
     winner: dict[int, int] = {}
@@ -286,7 +287,7 @@ def _build_clusters(g, alive, winner, slack, radii):
     for root in sorted(members):
         nodes = sorted(members[root])
         depth = max(radii[root] - slack[m] for m in nodes)
-        touched, _ = _bfs_tree(g.adj, alive, root, scratch, r_max=depth)
+        _bfs_layers(g.adj, alive, [root], scratch, r_max=depth)
         parent = scratch.parent
         tree_parent: dict[int, int] = {}
         for m in nodes:

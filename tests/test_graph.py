@@ -2,7 +2,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netdecomp import graph as graphmod
@@ -68,6 +68,46 @@ def test_bfs_saturation_pads():
     g = generate("path", n=3)
     cum, _ = bfs_layers(g, NodeMask.full(3), [1], 10)
     assert cum == [1, 3] + [3] * 9
+
+
+def test_bfs_rejects_out_of_range_sources():
+    g = generate("path", n=5)
+    for bad in (-1, 7):
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            bfs_layers(g, NodeMask.full(5), [bad], 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bfs_kernel_parents_are_one_layer_closer(data):
+    # the layer sizes match the oracle, and every reached non-source node's
+    # parent is an alive neighbour one layer closer: together these make
+    # each node's layer its exact distance from the sources
+    g = fuzz_graph(np.random.default_rng(data.draw(st.integers(0, 2**31 - 1))), max_n=60)
+    alive = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+    alive_ids = np.flatnonzero(alive).tolist()
+    assume(alive_ids)
+    sources = data.draw(st.lists(st.sampled_from(alive_ids), min_size=1, max_size=4))
+    r_max = data.draw(st.none() | st.integers(0, g.n))
+    stop_size = data.draw(st.none() | st.integers(1, g.n + 1))
+    scratch = g.scratch
+    cum, touched = graphmod._bfs_layers(
+        g.adj, NodeMask(alive).as_bytes(), sources, scratch, r_max=r_max, stop_size=stop_size
+    )
+    depth = len(cum) - 1
+    assert r_max is None or depth <= r_max
+    assert stop_size is None or all(c < stop_size for c in cum[:-1])
+    alive_set = set(alive_ids)
+    assert cum == ref_ball_sizes(g, alive_set, sources, depth)
+    assert len(set(touched)) == len(touched) == cum[-1]
+    layer = {v: r for r in range(depth + 1) for v in touched[cum[r - 1] if r else 0 : cum[r]]}
+    assert set(touched[: cum[0]]) == set(sources)
+    for v, r in layer.items():
+        p = scratch.parent[v]
+        if r == 0:
+            assert p == -1
+        else:
+            assert p in alive_set and p in g.adj[v] and layer.get(p) == r - 1
 
 
 def test_components_dead_middle_node():
@@ -178,6 +218,27 @@ def test_from_nodes_rejects_out_of_range_ids():
     for nodes in ([5], [-1, 2]):
         with pytest.raises(ValueError, match="out of range"):
             NodeMask.from_nodes(5, nodes)
+
+
+def test_mask_owns_a_copy_of_its_array():
+    a = np.ones(5, dtype=bool)
+    mask = NodeMask(a)
+    mask.as_bytes()
+    a[0] = False  # the caller's array is not the mask's
+    assert mask.alive.all() and mask.count() == 5
+    assert bytes(mask.as_bytes()) == mask.alive.tobytes() == b"\x01" * 5
+    assert mask.node_ids().tolist() == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        mask.alive[1] = False  # nor can the mask's own view change
+    assert a.flags.writeable
+
+
+def test_without_rejects_out_of_range_ids():
+    mask = NodeMask.full(5)
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            mask.without([bad])
+    assert mask.without([4, 0, 4]).node_ids().tolist() == [1, 2, 3]
 
 
 def test_traversals_share_one_workspace_per_graph():
@@ -414,6 +475,13 @@ def test_induced_diameter_bound_when_budget_runs_out(monkeypatch):
     res = induced_diameter(g, range(g.n))
     assert res.connected and res.exact is False
     assert res.value >= fw_distances(g).max()
+
+
+def test_induced_diameter_rejects_out_of_range_ids():
+    g = generate("path", n=5)
+    for nodes, bad in (([7], 7), ([-1, 0], -1)):
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            induced_diameter(g, nodes)
 
 
 def test_induced_diameter_exact_on_grid_and_long_path():

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import weakref
 from fractions import Fraction
 
@@ -27,6 +28,9 @@ from conftest import (
     check_halving_trace,
     fuzz_graph,
 )
+
+# the package's `refine` function shadows the submodule of the same name
+refine_mod = importlib.import_module("netdecomp.refine")
 
 
 # ----------------------------------------------------------------------------
@@ -69,7 +73,7 @@ def halve(g, seeds, b):
     """One halving step on the whole (connected) graph, with the preorder
     positions cut_or_cluster computes once per call."""
     alive = NodeMask.full(g.n).as_bytes()
-    pos = {v: i for i, v in enumerate(_preorder(g.adj, alive, 0, g.scratch))}
+    pos = {v: i for i, v in enumerate(_preorder(g.adj, alive, 0, g.scratch)[0])}
     return _halve(g.adj, alive, [int(v) for v in seeds], pos, g.scratch, g.n, b)
 
 
@@ -138,6 +142,19 @@ def test_disconnected_input_rejected():
     g = generate("path", n=4)
     with pytest.raises(ValueError):
         cut_or_cluster(g, NodeMask.full(4).without([1]), 0.5)
+
+
+def test_connectivity_is_read_off_the_preorder(monkeypatch):
+    def refuse(g, mask):
+        raise AssertionError("cut_or_cluster split its mask into components")
+
+    monkeypatch.setattr(refine_mod, "connected_components", refuse)
+    g = generate("path", n=30)
+    mask = NodeMask.full(30)
+    out, _ = cut_or_cluster(g, mask, 0.5)
+    check_cut_or_cluster_outcome(g, mask.node_ids(), out)
+    with pytest.raises(ValueError, match="connected"):
+        cut_or_cluster(g, mask.without([10]), 0.5)
 
 
 def test_long_path_yields_single_layer_cut():

@@ -32,7 +32,6 @@ def test_params_materialized_from_n_and_eps():
     assert p.eps_prime == 0.5 / 20
     assert p.eps_prime * p.i_max <= 0.5 / 2 + 1e-12
     assert p.growth_cap == math.ceil(math.log(1024) / -math.log1p(-0.25)) + 1
-    assert p.ratio_threshold == pytest.approx(1 / 0.75)
     single = CarvingParams.for_entry(1, 0.3)
     assert single.i_max == 1 and single.growth_cap == 1
 
@@ -66,6 +65,13 @@ def test_grow_ball_dead_center_errors():
     g = generate("path", n=4)
     with pytest.raises(ValueError):
         grow_ball(g, NodeMask.full(4).without([2]), 2, 0, 3, 0.5)
+
+
+def test_grow_ball_rejects_out_of_range_center():
+    g = generate("path", n=5)
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=f"center {bad} out of range"):
+            grow_ball(g, NodeMask.full(5), bad, 0, 2, 0.5)
 
 
 def _grow_ball_oracle(g, alive_set, center, r_start, k, eps):
