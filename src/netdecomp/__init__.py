@@ -9,7 +9,6 @@ of it.
 
 from .errors import InvariantViolation
 from .graph import (
-    BarrierSpec,
     Graph,
     NodeMask,
     bfs_layers,

@@ -1,8 +1,9 @@
 """Command-line front end: generate, carve, decompose, verify.
 
-Exit codes: 0 ok, 1 I/O failure, 2 bad flags (argparse default), 3
-verification found violations, 4 the graph file or clustering file is
-malformed, 5 an algorithm detected a broken guarantee (InvariantViolation).
+Exit codes: 0 ok, 1 I/O failure, 2 bad flags or parameters (argparse, or a
+library ValueError such as a regular graph the configuration model cannot
+draw), 3 verification found violations, 4 the graph file or clustering file
+is malformed, 5 an algorithm detected a broken guarantee (InvariantViolation).
 Carve and decompose always verify their own output, against the diameter
 bound their pipeline declares, before writing; an invalid result is never
 written. The cluster diameters they write are the ones the verifier measured.
@@ -15,9 +16,9 @@ import json
 import math
 import sys
 
-from .decompose import decompose, make_refined_carver, make_strong_carver
+from .decompose import color_bound, decompose, make_refined_carver, make_strong_carver
 from .errors import InvariantViolation
-from .graph import NodeMask, from_text, generate, to_text
+from .graph import KINDS, NodeMask, from_text, generate, to_text
 from .strong import StrongCarving
 from .verify import verify_decomposition, verify_strong_carving
 from .weak import linial_saks_black_box, trivial_black_box
@@ -32,10 +33,6 @@ def _carver(eps_impl: str, black_box: str):
     if eps_impl == "strong":
         return make_strong_carver(bb)
     raise ValueError(f"unknown eps-impl {eps_impl!r}")
-
-
-def _color_bound(n: int) -> int:
-    return (max(1, math.ceil(math.log2(n))) if n > 1 else 0) + 1
 
 
 class _MalformedFile(Exception):
@@ -130,7 +127,7 @@ def _cmd_decompose(args) -> int:
     g = _read_graph(args.infile)
     carver = _carver(args.eps_impl, args.black_box)
     decomp, ledger = decompose(g, args.seed, carver)
-    violations = verify_decomposition(g, decomp, _color_bound(g.n), decomp.diameter_bound)
+    violations = verify_decomposition(g, decomp, color_bound(g.n), decomp.diameter_bound)
     if violations:
         return _report(violations, "decomposition")
     obj = decomp.to_json()
@@ -201,7 +198,7 @@ def _cmd_verify(args) -> int:
     if d_bound is None:
         d_bound = g.n  # no bound recorded: only structural checks bite
     if args.mode == "decomposition":
-        c_bound = args.c_bound if args.c_bound is not None else _color_bound(g.n)
+        c_bound = args.c_bound if args.c_bound is not None else color_bound(g.n)
         violations = verify_decomposition(g, view, c_bound, d_bound)
     else:
         eps = args.eps if args.eps is not None else view.eps
@@ -225,8 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     gen = sub.add_parser("gen", help="generate a graph file")
-    gen.add_argument("--type", required=True,
-                     choices=["path", "grid", "gnp", "regular_expander", "barrier"])
+    gen.add_argument("--type", required=True, choices=KINDS)
     gen.add_argument("--n", type=int, default=0)
     gen.add_argument("--rows", type=int, default=0)
     gen.add_argument("--cols", type=int, default=0)

@@ -25,6 +25,7 @@ from .strong import carve_strong
 __all__ = [
     "DecompCluster",
     "NetworkDecomposition",
+    "color_bound",
     "decompose",
     "make_strong_carver",
     "make_refined_carver",
@@ -97,6 +98,12 @@ def make_refined_carver(black_box):
     return carver
 
 
+def color_bound(n: int) -> int:
+    """The most colors `decompose` may use on n nodes: ceil(log2 n) + 1, at
+    least 2 when n > 1 and 1 when n <= 1."""
+    return (max(1, math.ceil(math.log2(n))) if n > 1 else 0) + 1
+
+
 def decompose(g: Graph, seed: int, carver) -> tuple[NetworkDecomposition, RoundLedger]:
     """Iterate carver(eps=1/2); batch i becomes color i.
 
@@ -107,7 +114,7 @@ def decompose(g: Graph, seed: int, carver) -> tuple[NetworkDecomposition, RoundL
     """
     n = g.n
     remaining = NodeMask.full(n)
-    max_colors = (max(1, math.ceil(math.log2(n))) if n > 1 else 0) + 1
+    max_colors = color_bound(n)
     clusters: list[DecompCluster] = []
     ledger = RoundLedger()
     remaining_trace = [n]

@@ -19,11 +19,11 @@ import numpy as np
 __all__ = [
     "Graph",
     "NodeMask",
-    "BarrierSpec",
     "DiameterResult",
     "bfs_layers",
     "connected_components",
     "induced_diameter",
+    "KINDS",
     "generate",
     "complete_graph",
     "graph_from_edges",
@@ -54,7 +54,7 @@ class Graph:
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    _adj: tuple | None = field(default=None, repr=False)
+    _adj: tuple | None = field(default=None, init=False, repr=False)
     _scratch: Scratch | None = field(default=None, init=False, repr=False)
 
     @property
@@ -67,11 +67,7 @@ class Graph:
         if self._adj is None:
             ip = self.indptr
             idx = self.indices.tolist()
-            object.__setattr__(
-                self,
-                "_adj",
-                tuple(idx[ip[v] : ip[v + 1]] for v in range(self.n)),
-            )
+            self._adj = tuple(idx[ip[v] : ip[v + 1]] for v in range(self.n))
         return self._adj
 
     @property
@@ -201,40 +197,6 @@ def _check_sorted_ids(ids: np.ndarray, n: int) -> None:
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ValueError(f"node {bad} out of range for n={n}")
-
-
-@dataclass(frozen=True)
-class BarrierSpec:
-    """Parameters of the subdivided-expander obstruction graph.
-
-    Every edge of a random `degree`-regular base graph on `base_nodes`
-    nodes is replaced by a path of `subdivision_length` edges. The result
-    has base_nodes + (base_nodes*degree/2)*(subdivision_length-1) nodes.
-    """
-
-    base_nodes: int
-    degree: int
-    subdivision_length: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.degree < 3:
-            raise ValueError("barrier base degree must be >= 3")
-        if self.subdivision_length < 1:
-            raise ValueError("subdivision length must be >= 1")
-        if (self.base_nodes * self.degree) % 2 != 0:
-            raise ValueError("base_nodes * degree must be even")
-        if self.base_nodes <= self.degree:
-            raise ValueError("need base_nodes > degree for a simple base graph")
-
-    @property
-    def expected_nodes(self) -> int:
-        base_edges = self.base_nodes * self.degree // 2
-        return self.base_nodes + base_edges * (self.subdivision_length - 1)
-
-    @property
-    def expected_edges(self) -> int:
-        return (self.base_nodes * self.degree // 2) * self.subdivision_length
 
 
 # ----------------------------------------------------------------------------
@@ -582,39 +544,47 @@ def _gen_grid(rows: int, cols: int) -> Graph:
 
 
 def _gen_gnp(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) by geometric skipping over the upper triangle: O(n + m)."""
+    """G(n, p) by geometric skipping over the upper triangle (Batagelj &
+    Brandes, Phys. Rev. E 2005): O(n + m).
+
+    The pairs (i, j), i < j, are ranked row by row. Each uniform draw u
+    skips 1 + floor(log(1 - u) / log(1 - p)) ranks, the draws come in
+    batches sized to the expected number of edges left, and each drawn rank
+    is unranked exactly by a binary search over the row starts.
+    """
     if n < 1:
         raise ValueError("gnp needs n >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must be in [0, 1]")
     if p == 1.0:
         return complete_graph(n)
-    edges = []
+    total = n * (n - 1) // 2
+    ranks = [np.zeros(0, dtype=np.int64)]
     if p > 0.0:
         rng = np.random.default_rng(seed)
         lq = math.log1p(-p)
-        total = n * (n - 1) // 2
-        pos = -1
-        while True:
-            u = rng.random()
-            pos += 1 + int(math.log(1.0 - u) / lq)
-            if pos >= total:
-                break
-            # unrank the linear index into (i, j), i < j
-            i = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * pos)) / 2)
-            base = i * (2 * n - i - 1) // 2
-            while base > pos:
-                i -= 1
-                base = i * (2 * n - i - 1) // 2
-            while i * (2 * n - i - 1) // 2 + (n - i - 1) <= pos:
-                i += 1
-            base = i * (2 * n - i - 1) // 2
-            j = i + 1 + (pos - base)
-            edges.append((i, j))
-    return graph_from_edges(n, edges)
+        pos = -1  # the last rank drawn
+        while pos < total:
+            draws = rng.random(int(p * (total - pos)) + 64).tolist()
+            # a skip beyond total + 1 ends the walk just as total + 1 does;
+            # the cap keeps it in int64 and turns an infinite one (p
+            # subnormal) into a number
+            steps = [1 + int(min(math.log(1.0 - u) / lq, total)) for u in draws]
+            run = pos + np.cumsum(steps)
+            ranks.append(run[: np.searchsorted(run, total)])
+            pos = int(run[-1])
+    rank = np.concatenate(ranks)
+    i = np.arange(n, dtype=np.int64)
+    start = i * (2 * n - i - 1) // 2  # the rank of the pair (i, i + 1)
+    row = np.searchsorted(start, rank, side="right") - 1
+    return graph_from_edges(n, np.column_stack((row, rank - start[row] + row + 1)))
 
 
-def _gen_regular(n: int, deg: int, seed: int, max_attempts: int = 10000) -> Graph:
+# Stub pairings the configuration model draws before it gives up.
+_MAX_PAIRINGS = 10000
+
+
+def _gen_regular(n: int, deg: int, seed: int) -> Graph:
     """Random deg-regular simple graph via the configuration model.
 
     Stub pairings with self-loops or parallel edges are rejected wholesale
@@ -627,7 +597,7 @@ def _gen_regular(n: int, deg: int, seed: int, max_attempts: int = 10000) -> Grap
         raise ValueError("n * deg must be even")
     rng = np.random.default_rng(seed)
     stubs0 = np.repeat(np.arange(n, dtype=np.int64), deg)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_PAIRINGS):
         stubs = rng.permutation(stubs0)
         a, b = stubs[0::2], stubs[1::2]
         if (a == b).any():
@@ -638,22 +608,30 @@ def _gen_regular(n: int, deg: int, seed: int, max_attempts: int = 10000) -> Grap
         if np.unique(keys).size != keys.size:
             continue
         return graph_from_edges(n, np.column_stack((lo, hi)))
-    raise RuntimeError(f"configuration model failed after {max_attempts} attempts")
+    raise ValueError(
+        f"the configuration model drew no simple {deg}-regular graph on n={n} "
+        f"nodes in {_MAX_PAIRINGS} pairings"
+    )
 
 
-def _gen_barrier(spec: BarrierSpec) -> Graph:
-    """Subdivide each edge of a random regular base graph into a path.
+def _gen_barrier(base_nodes: int, degree: int, subdivision_length: int, seed: int) -> Graph:
+    """Subdivide each edge of a random `degree`-regular base graph on
+    `base_nodes` nodes into a path of `subdivision_length` edges.
 
     Base nodes keep ids 0..base_nodes-1; internal path nodes are appended in
     the sorted order of base edges, so the construction is reproducible.
     """
-    base = _edge_array(_gen_regular(spec.base_nodes, spec.degree, spec.seed))
-    ell = spec.subdivision_length
-    inner = spec.base_nodes + np.arange(len(base) * (ell - 1), dtype=np.int64)
+    if degree < 3:
+        raise ValueError("barrier base degree must be >= 3")
+    if subdivision_length < 1:
+        raise ValueError("subdivision length must be >= 1")
+    base = _edge_array(_gen_regular(base_nodes, degree, seed))
+    ell = subdivision_length
+    inner = base_nodes + np.arange(len(base) * (ell - 1), dtype=np.int64)
     # row e is the chain u, internal nodes..., v replacing base edge e
     chains = np.column_stack((base[:, 0], inner.reshape(len(base), ell - 1), base[:, 1]))
     edges = np.column_stack((chains[:, :-1].ravel(), chains[:, 1:].ravel()))
-    return graph_from_edges(spec.base_nodes + inner.size, edges)
+    return graph_from_edges(base_nodes + inner.size, edges)
 
 
 def complete_graph(n: int) -> Graph:
@@ -662,7 +640,7 @@ def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
-_KINDS = ("path", "grid", "gnp", "regular_expander", "barrier")
+KINDS = ("path", "grid", "gnp", "regular_expander", "barrier")
 
 
 def generate(kind: str, seed: int = 0, **params) -> Graph:
@@ -680,16 +658,13 @@ def generate(kind: str, seed: int = 0, **params) -> Graph:
     if kind == "regular_expander":
         return _gen_regular(int(params["n"]), int(params["deg"]), seed)
     if kind == "barrier":
-        spec = params.get("spec")
-        if spec is None:
-            spec = BarrierSpec(
-                base_nodes=int(params["base_nodes"]),
-                degree=int(params["degree"]),
-                subdivision_length=int(params["subdivision_length"]),
-                seed=seed,
-            )
-        return _gen_barrier(spec)
-    raise ValueError(f"unknown kind {kind!r}; expected one of {_KINDS}")
+        return _gen_barrier(
+            int(params["base_nodes"]),
+            int(params["degree"]),
+            int(params["subdivision_length"]),
+            seed,
+        )
+    raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
 
 
 # ----------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .errors import InvariantViolation
 from .graph import Graph, NodeMask, _bfs_layers, _preorder
 # Never called here; kept because perfbench/spans.py wraps this name by path.
 from .graph import connected_components  # noqa: F401
-from .ledger import RoundLedger, merge_parallel
+from .ledger import RoundLedger, charge_bfs, merge_parallel
 from .seeding import derive_seed
 from .strong import StrongCarving, StrongCluster
 
@@ -253,8 +253,7 @@ def cut_or_cluster(
     v = seeds[0]
     a_f = a
     cum, touched = _bfs_layers(adj, alive, [v], scratch, r_max=a_f + k_l + 1)
-    walked = len(cum) - 1
-    ledger.add("bfs", walked)
+    charge_bfs(ledger, len(cum) - 1)
     while len(cum) < a_f + k_l + 2:
         cum.append(cum[-1])
     r_star = min_ratio_layer(cum[a_f : a_f + k_l + 2], lo=a_f)

@@ -2,17 +2,19 @@
 
 The oracles here deliberately avoid the library's traversal code: distances
 come from dense Floyd-Warshall, components from union-find, ball sizes from
-a dict-based BFS. Tests compare library outputs against these.
+a dict-based BFS, G(n, p) from a scalar skip loop. Tests compare library
+outputs against these.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 
-from netdecomp import Graph, NodeMask, generate, graph_from_edges
+from netdecomp import Graph, NodeMask, complete_graph, generate, graph_from_edges
 
 
 # ----------------------------------------------------------------------------
@@ -91,6 +93,37 @@ def ref_eccentricity(g: Graph, alive: set[int], v: int) -> int:
                 ecc = max(ecc, dist[w])
                 q.append(w)
     return ecc
+
+
+def ref_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) by the scalar geometric-skip loop with float unranking that
+    `generate("gnp", ...)` used to run, kept verbatim as the oracle the
+    batched generator must match graph for graph (n >= 1, 0 <= p <= 1)."""
+    if p == 1.0:
+        return complete_graph(n)
+    edges = []
+    if p > 0.0:
+        rng = np.random.default_rng(seed)
+        lq = math.log1p(-p)
+        total = n * (n - 1) // 2
+        pos = -1
+        while True:
+            u = rng.random()
+            pos += 1 + int(math.log(1.0 - u) / lq)
+            if pos >= total:
+                break
+            # unrank the linear index into (i, j), i < j
+            i = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * pos)) / 2)
+            base = i * (2 * n - i - 1) // 2
+            while base > pos:
+                i -= 1
+                base = i * (2 * n - i - 1) // 2
+            while i * (2 * n - i - 1) // 2 + (n - i - 1) <= pos:
+                i += 1
+            base = i * (2 * n - i - 1) // 2
+            j = i + 1 + (pos - base)
+            edges.append((i, j))
+    return graph_from_edges(n, edges)
 
 
 # ----------------------------------------------------------------------------

@@ -102,6 +102,24 @@ def test_bad_flags_exit_2(capsys):
     assert run(["gen", "--type", "dodecahedron", "--out", "x"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--type", "regular_expander", "--n", "7", "--deg", "6"],
+        ["--type", "barrier", "--base-nodes", "7", "--deg", "6", "--sub-len", "2"],
+    ],
+    ids=["regular_expander", "barrier"],
+)
+def test_gen_undrawable_regular_base_exit_2(tmp_path, capsys, flags):
+    # the configuration model gives up on the only 6-regular graph on 7 nodes
+    out = tmp_path / "g.g"
+    assert run(["gen", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n=7" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_file_exit_1(tmp_path):
     assert run(["decompose", "--in", str(tmp_path / "nope.g"), "--out", str(tmp_path / "o")]) == 1
 

@@ -2,12 +2,12 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netdecomp import graph as graphmod
 from netdecomp import (
-    BarrierSpec,
+    Graph,
     NodeMask,
     bfs_layers,
     complete_graph,
@@ -24,6 +24,7 @@ from conftest import (
     fuzz_graph,
     largest_component_graph,
     ref_ball_sizes,
+    ref_gnp,
     uf_components,
 )
 
@@ -271,10 +272,25 @@ def test_generate_barrier_k4_subdivision_counts():
 
 
 def test_generate_barrier_spec_invariant():
-    spec = BarrierSpec(base_nodes=8, degree=3, subdivision_length=5, seed=1)
-    g = generate("barrier", 1, spec=spec)
-    assert g.n == spec.expected_nodes
-    assert g.m == spec.expected_edges
+    base_nodes, degree, ell = 8, 3, 5
+    g = generate("barrier", 1, base_nodes=base_nodes, degree=degree, subdivision_length=ell)
+    base_edges = base_nodes * degree // 2
+    assert g.n == base_nodes + base_edges * (ell - 1)
+    assert g.m == base_edges * ell
+
+
+@pytest.mark.parametrize(
+    "base_nodes, degree, ell, message",
+    [
+        (8, 2, 3, "degree must be >= 3"),
+        (8, 3, 0, "subdivision length must be >= 1"),
+        (7, 3, 3, "n \\* deg must be even"),
+        (4, 4, 3, "need 0 <= deg < n"),
+    ],
+)
+def test_generate_barrier_rejects_bad_parameters(base_nodes, degree, ell, message):
+    with pytest.raises(ValueError, match=message):
+        generate("barrier", 0, base_nodes=base_nodes, degree=degree, subdivision_length=ell)
 
 
 def test_barrier_every_base_edge_is_a_path():
@@ -318,6 +334,37 @@ def test_generate_gnp_deterministic_and_valid():
     assert sorted(a.edges()) == sorted(b.edges())
     with pytest.raises(ValueError):
         generate("gnp", 0, n=10, p=1.5)
+
+
+def test_generate_regular_gives_up_with_value_error():
+    # K7 is the only 6-regular graph on 7 nodes: pairings almost never hit it
+    with pytest.raises(ValueError, match=r"6-regular graph on n=7 nodes in 10000 pairings"):
+        generate("regular_expander", 0, n=7, deg=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p=st.sampled_from([0.0, 1e-12, 1e-9, 0.999, 1.0])
+    | st.floats(0.0, 1.0, allow_subnormal=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, p=1e-9, seed=0)  # a skip capped at total would draw the edge (0, 1)
+@example(n=1, p=0.5, seed=0)  # a skip capped at total would never end the walk
+def test_gnp_draws_the_scalar_oracles_graph(n, p, seed):
+    assert to_text(generate("gnp", seed, n=n, p=p)) == to_text(ref_gnp(n, p, seed))
+
+
+def test_gnp_subnormal_p_draws_no_edges():
+    # log(1 - u) / log(1 - p) overflows to infinity: the skip must still end
+    # the walk, not raise OverflowError
+    assert generate("gnp", 0, n=300, p=5e-324).m == 0
+
+
+def test_graph_takes_no_adjacency_argument():
+    g = generate("path", n=3)
+    with pytest.raises(TypeError):
+        Graph(n=3, indptr=g.indptr, indices=g.indices, _adj=g.adj)
 
 
 def test_generate_unknown_kind():
