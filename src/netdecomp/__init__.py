@@ -33,7 +33,6 @@ from .weak import (
     WeakCluster,
     linial_saks_black_box,
     trivial_black_box,
-    weak_carve,
 )
 from .strong import (
     CarvingParams,

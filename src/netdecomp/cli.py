@@ -1,9 +1,11 @@
 """Command-line front end: generate, carve, decompose, verify.
 
-Exit codes: 0 ok, 1 I/O failure, 2 bad flags or parameters (argparse, or a
-library ValueError such as a regular graph the configuration model cannot
-draw), 3 verification found violations, 4 the graph file or clustering file
-is malformed, 5 an algorithm detected a broken guarantee (InvariantViolation).
+Exit codes: 0 ok, 1 I/O failure, 2 bad flags or parameters (argparse, a
+non-finite verify bound or eps, or a library ValueError such as a regular
+graph the configuration model cannot draw or an eps too small for the
+pipeline's growth windows), 3 verification found violations, 4 the graph
+file or clustering file is malformed (a NaN or infinite number included),
+5 an algorithm detected a broken guarantee (InvariantViolation).
 Carve and decompose always verify their own output, against the diameter
 bound their pipeline declares, before writing; an invalid result is never
 written. The cluster diameters they write are the ones the verifier measured.
@@ -24,15 +26,11 @@ from .verify import verify_decomposition, verify_strong_carving
 from .weak import linial_saks_black_box, trivial_black_box
 
 _BLACK_BOXES = {"linial_saks": linial_saks_black_box, "trivial": trivial_black_box}
+_PIPELINES = {"refined": make_refined_carver, "strong": make_strong_carver}
 
 
-def _carver(eps_impl: str, black_box: str):
-    bb = _BLACK_BOXES[black_box]
-    if eps_impl == "refined":
-        return make_refined_carver(bb)
-    if eps_impl == "strong":
-        return make_strong_carver(bb)
-    raise ValueError(f"unknown eps-impl {eps_impl!r}")
+def _carver(args):
+    return _PIPELINES[args.eps_impl](_BLACK_BOXES[args.black_box])
 
 
 class _MalformedFile(Exception):
@@ -104,8 +102,7 @@ def _cmd_gen(args) -> int:
 def _cmd_carve(args) -> int:
     g = _read_graph(args.infile)
     mask = NodeMask.full(g.n)
-    carver = _carver(args.eps_impl, args.black_box)
-    sc: StrongCarving = carver(g, mask, args.eps, args.seed)
+    sc: StrongCarving = _carver(args)(g, mask, args.eps, args.seed)
     violations = verify_strong_carving(g, mask, sc, args.eps, sc.meta["diameter_bound"])
     if violations:
         return _report(violations, "carving")
@@ -125,8 +122,7 @@ def _cmd_carve(args) -> int:
 
 def _cmd_decompose(args) -> int:
     g = _read_graph(args.infile)
-    carver = _carver(args.eps_impl, args.black_box)
-    decomp, ledger = decompose(g, args.seed, carver)
+    decomp, ledger = decompose(g, args.seed, _carver(args))
     violations = verify_decomposition(g, decomp, color_bound(g.n), decomp.diameter_bound)
     if violations:
         return _report(violations, "decomposition")
@@ -149,6 +145,18 @@ def _need(ok: bool, what: str) -> None:
 
 def _is_int(x) -> bool:
     return type(x) is int  # a JSON integer; bool does not count
+
+
+def _is_finite(x) -> bool:
+    # json.load reads the tokens NaN and Infinity, which no bound may be
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
 
 
 class _ClusterView:
@@ -178,8 +186,9 @@ class _ClusteringView:
         self.dead = [d["node"] for d in dead]
         _need(isinstance(stats, dict), "stats is not an object")
         self.d_bound, self.eps = stats.get("diameter_bound"), obj.get("eps", 0.5)
-        _need(type(self.d_bound) in (int, float, type(None)), "diameter_bound is not a number")
-        _need(type(self.eps) in (int, float), "eps is not a number")
+        ok = self.d_bound is None or _is_finite(self.d_bound)
+        _need(ok, "diameter_bound is not a finite number")
+        _need(_is_finite(self.eps), "eps is not a finite number")
 
 
 def _read_clustering(path: str, n: int) -> _ClusteringView:
@@ -239,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--ledger-out", default=None)
-        p.add_argument("--eps-impl", default="refined", choices=["refined", "strong"])
+        p.add_argument("--eps-impl", default="refined", choices=sorted(_PIPELINES))
         p.add_argument("--black-box", default="linial_saks", choices=sorted(_BLACK_BOXES))
         p.add_argument("--seed", type=int, default=0)
         if name == "carve":
@@ -252,9 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mode", required=True, choices=["decomposition", "carving"])
     ver.add_argument("--in", dest="infile", required=True)
     ver.add_argument("--clustering", required=True)
-    ver.add_argument("--eps", type=float, default=None)
+    ver.add_argument("--eps", type=_finite_float, default=None)
     ver.add_argument("--c-bound", type=int, default=None)
-    ver.add_argument("--d-bound", type=float, default=None)
+    ver.add_argument("--d-bound", type=_finite_float, default=None)
     ver.set_defaults(func=_cmd_verify)
     return ap
 

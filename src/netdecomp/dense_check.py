@@ -142,8 +142,8 @@ def dense_verify_weak_carving(g: Graph, mask: NodeMask, w, eps: float) -> list[V
         tree = cl.tree
         parent = {int(c): int(p) for c, p in tree.parent.items()}
         tree_nodes = set(parent) | {int(tree.root)}
-        terminals = set(int(t) for t in tree.terminals)
-        bad = terminals != cluster_sets[k] or not terminals <= tree_nodes
+        terminals = cluster_sets[k]
+        bad = not terminals <= tree_nodes
         bad = bad or int(tree.root) in parent
         for cnode, pnode in parent.items():
             if pnode not in tree_nodes or not a[cnode, pnode]:

@@ -280,6 +280,24 @@ def _bfs_layers(
     return cum, touched
 
 
+def _window(num: float, den: float, eps: float) -> int:
+    """ceil(num / den), a BFS window or radius cap derived from eps; a zero
+    den or a window of 2**62 layers or more means eps is too small."""
+    if den > 0 and num / den < 2.0**62:
+        return math.ceil(num / den)
+    raise ValueError(f"eps={eps} is too small: a window of {num}/{den} layers is not below 2**62")
+
+
+def _pad_saturated(cum: list[int], r_start: int, r_max: int) -> None:
+    """Pad ball sizes cum, from a BFS limited to r_max layers, for a window
+    search from r_start. A BFS that stopped early is saturated, so every
+    later layer is empty and thin, and one saturated entry past
+    max(r_start, depth) ends any search, however wide its window."""
+    depth = len(cum) - 1
+    if depth < r_max:
+        cum += [cum[-1]] * (max(r_start, depth) + 1 - depth)
+
+
 def _preorder(
     adj: tuple,
     alive: bytearray,

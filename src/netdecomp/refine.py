@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, _bfs_layers, _preorder
+from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _preorder, _window
 # Never called here; kept because perfbench/spans.py wraps this name by path.
 from .graph import connected_components  # noqa: F401
 from .ledger import RoundLedger, charge_bfs, merge_parallel
@@ -113,12 +113,12 @@ def _census(adj, alive, nodes, scratch, target_times_3: int):
     return _bfs_layers(adj, alive, nodes, scratch, stop_size=stop)
 
 
-def _halve(adj, alive, seeds: list[int], pos: dict, scratch, n: int, b: int):
+def _halve(adj, alive, seeds: list[int], scratch, n: int, b: int):
     """One halving step of the seed set; returns (chosen half, a1, a2).
 
-    `pos` maps every alive node to its index in the preorder of the BFS tree
-    rooted at the smallest alive id. The first ceil(|S|/2) seeds in that
-    order form S1, the rest S2; a1 and a2 are their n/3-coverage radii. The
+    `seeds` is a run of the preorder of the BFS tree rooted at the smallest
+    alive id, so each half is again such a run. The first ceil(|S|/2) seeds
+    form S1, the rest S2; a1 and a2 are their n/3-coverage radii. The
     half with the strictly smaller radius wins, ties go to S2. The winning
     radius never exceeds b, the 2n/3-coverage radius of S: the b-ball of S is
     the union of the b-balls of the halves, so one half covers >= n/3 within
@@ -126,9 +126,8 @@ def _halve(adj, alive, seeds: list[int], pos: dict, scratch, n: int, b: int):
     """
     if len(seeds) < 2:
         raise ValueError("cannot halve a seed set of fewer than 2 nodes")
-    s_sorted = sorted(seeds, key=pos.__getitem__)
-    half = (len(s_sorted) + 1) // 2
-    s1, s2 = s_sorted[:half], s_sorted[half:]
+    half = (len(seeds) + 1) // 2
+    s1, s2 = seeds[:half], seeds[half:]
     a1 = _coverage_radius(_census(adj, alive, s1, scratch, n)[0], n)
     a2 = _coverage_radius(_census(adj, alive, s2, scratch, n)[0], n)
     if a1 is None or a2 is None or min(a1, a2) > b:
@@ -176,12 +175,11 @@ def cut_or_cluster(
     order, ecc = _preorder(adj, alive, vstar, scratch)
     if len(order) != n:
         raise ValueError("cut_or_cluster requires a connected alive subgraph")
-    pos = {v: i for i, v in enumerate(order)}
 
     ln_n = math.log(n)
     rho = 1.0 + eps / (LAYER_BUDGET_CONSTANT * ln_n)
-    cut_threshold = math.ceil(math.log(2) * LAYER_BUDGET_CONSTANT * ln_n / eps) + 2
-    k_l = math.ceil(math.log(3) / math.log(rho)) + 1
+    cut_threshold = _window(math.log(2) * LAYER_BUDGET_CONSTANT * ln_n, eps, eps) + 2
+    k_l = _window(math.log(3), math.log(rho), eps) + 1
     params = {
         "n": n,
         "eps": eps,
@@ -191,7 +189,7 @@ def cut_or_cluster(
         "k_l": k_l,
     }
 
-    seeds = [int(v) for v in alive_ids]
+    seeds = order  # every alive node, in preorder
     iteration = 1
     trace: list[dict] = []
     prev_a = 0
@@ -245,7 +243,7 @@ def cut_or_cluster(
             return outcome, ledger
         if len(seeds) == 1:
             break
-        seeds, a1, a2 = _halve(adj, alive, seeds, pos, scratch, n, b)
+        seeds, a1, a2 = _halve(adj, alive, seeds, scratch, n, b)
         trace[-1].update({"a1": a1, "a2": a2, "chosen": 1 if a1 < a2 else 2})
         iteration += 1
 
@@ -254,9 +252,8 @@ def cut_or_cluster(
     a_f = a
     cum, touched = _bfs_layers(adj, alive, [v], scratch, r_max=a_f + k_l + 1)
     charge_bfs(ledger, len(cum) - 1)
-    while len(cum) < a_f + k_l + 2:
-        cum.append(cum[-1])
-    r_star = min_ratio_layer(cum[a_f : a_f + k_l + 2], lo=a_f)
+    _pad_saturated(cum, a_f, a_f + k_l + 1)
+    r_star = min_ratio_layer(cum[a_f:], lo=a_f)
     halo_size = cum[r_star + 1] - cum[r_star]
     if halo_size > (rho - 1) * n:
         raise InvariantViolation(f"halo layer of {halo_size} nodes exceeds (rho-1)n")
@@ -302,8 +299,8 @@ def refined_diameter_bound(n: int, eps: float) -> int:
         raise ValueError("eps must be in (0, 1)")
     lmax = _levels_bound(n)
     delta = eps / (4 * lmax)  # rho - 1 at every level
-    ct = math.ceil(math.log(2) * 4 * lmax / eps) + 3
-    k_l = math.ceil(math.log(3) / math.log1p(delta)) + 2
+    ct = _window(math.log(2) * 4 * lmax, eps, eps) + 3
+    k_l = _window(math.log(3), math.log1p(delta), eps) + 2
     h_bound = (max(1, math.ceil(math.log2(n))) if n > 1 else 1) + 1
     return 2 * (h_bound * ct + k_l)
 
@@ -332,7 +329,7 @@ def refine(
             dead_black_box=np.zeros(0, dtype=np.int64),
             dead_boundary=np.zeros(0, dtype=np.int64),
             ledger=RoundLedger(),
-            meta={"eps": eps, "levels": 0},
+            meta={"eps": eps, "seed": seed, "levels": 0, "diameter_bound": 0},
         )
     lmax = _levels_bound(n0)
     eps_carve = eps / (4 * lmax)

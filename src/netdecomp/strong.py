@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, _bfs_layers, connected_components
+from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _window, connected_components
 from .ledger import RoundLedger, charge_bfs, charge_steiner_aggregate, merge_parallel
 from .seeding import derive_seed
 from .weak import WeakCarving, WeakCluster
@@ -58,7 +58,7 @@ class CarvingParams:
             raise ValueError("n must be >= 1")
         i_max = max(1, math.ceil(math.log2(n))) if n > 1 else 1
         eps_prime = eps / (2 * i_max)
-        growth_cap = math.ceil(math.log(n) / -math.log1p(-eps / 2)) + 1 if n > 1 else 1
+        growth_cap = _window(math.log(n), -math.log1p(-eps / 2), eps) + 1 if n > 1 else 1
         return cls(
             n=n,
             eps=eps,
@@ -139,9 +139,9 @@ def grow_ball(
     thin = 1.0 - eps / 2
     r_max = r_start + k_growth + 1
     cum, touched = _bfs_layers(g.adj, mask.as_bytes(), [center], g.scratch, r_max=r_max)
-    cum += [cum[-1]] * (r_max + 1 - len(cum))
+    _pad_saturated(cum, r_start, r_max)
     r_star = -1
-    for r in range(r_start, r_start + k_growth + 1):
+    for r in range(r_start, len(cum) - 1):
         if cum[r] >= thin * cum[r + 1]:
             r_star = r
             break

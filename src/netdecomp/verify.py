@@ -182,8 +182,9 @@ def verify_weak_carving(g: Graph, mask: NodeMask, w, eps: float) -> list[Violati
     """Check a weak carving against its declared depth/congestion budget.
 
     `w` needs: clusters (list of objects with .nodes and .tree where tree has
-    .root, .parent dict, .terminals), dead (iterable), declared_depth,
-    declared_congestion. Empty result means the carving is valid.
+    .root and .parent dict), dead (iterable), declared_depth,
+    declared_congestion. A cluster's nodes are its tree's terminals. Empty
+    result means the carving is valid.
     """
     out: list[Violation] = []
     alive_ids = _as_int_set(mask.node_ids())
@@ -226,23 +227,21 @@ def _check_steiner_tree(
     g: Graph,
     mask: NodeMask,
     cluster_id: int,
-    members: set[int],
+    terminals: set[int],
     tree,
     depth_bound: int,
     out: list[Violation],
     edge_use: dict[tuple[int, int], int],
 ) -> None:
     """At most one steiner-terminals and one steiner-depth violation per
-    cluster; a structurally broken tree contributes nothing to edge_use."""
+    cluster, whose in-range nodes are the tree's `terminals`; a structurally
+    broken tree contributes nothing to edge_use."""
     alive = mask.as_bytes()
     parent = {int(c): int(p) for c, p in tree.parent.items()}
     root = int(tree.root)
     tree_nodes = set(parent) | {root}
-    terminals = _in_range(g, _as_int_set(tree.terminals))
 
     reasons = []
-    if terminals != members:
-        reasons.append("terminals != cluster nodes")
     if not terminals <= tree_nodes:
         reasons.append("terminal missing from tree")
     if root in parent:

@@ -5,7 +5,9 @@ graph view and a boundary fraction eps, produce non-adjacent clusters
 covering all but an eps fraction of the alive nodes, each cluster equipped
 with a bounded-depth Steiner tree, with bounded per-edge tree congestion.
 
-Two instances are provided:
+A black box is a function black_box(g, mask, eps, seed) -> (WeakCarving,
+RoundLedger). Each instance here is one per-component function passed to the
+driver `_carve`, which does everything else. Two instances are provided:
 
   * trivial: one cluster per connected component, the component's own BFS
     tree as Steiner tree (depth = radius from the min-id node), congestion 1,
@@ -26,12 +28,12 @@ Two instances are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, _bfs_layers, connected_components
+from .graph import _bfs_layers, _window, connected_components
 from .ledger import RoundLedger, charge_leader_election, merge_parallel
 from .seeding import rng_from
 
@@ -39,7 +41,6 @@ __all__ = [
     "SteinerTree",
     "WeakCluster",
     "WeakCarving",
-    "weak_carve",
     "trivial_black_box",
     "linial_saks_black_box",
 ]
@@ -51,14 +52,13 @@ MAX_REDRAWS = 200
 class SteinerTree:
     """Rooted tree inside a component's induced subgraph.
 
-    parent maps child -> parent for every tree node except the root. All
-    terminals are tree nodes; the root itself may lie outside the cluster it
-    serves (it only anchors the tree).
+    parent maps child -> parent for every tree node except the root. The
+    terminals are the served cluster's nodes, all of them tree nodes; the
+    root itself may lie outside the cluster (it only anchors the tree).
     """
 
     root: int
     parent: dict[int, int]
-    terminals: np.ndarray
 
 
 @dataclass
@@ -76,7 +76,6 @@ class WeakCarving:
     dead: np.ndarray
     declared_depth: int
     declared_congestion: int
-    meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -99,70 +98,45 @@ class WeakCarving:
         }
 
 
-def weak_carve(
-    g: Graph,
-    mask: NodeMask,
-    eps: float,
-    seed: int = 0,
-    impl: str = "linial_saks",
-) -> tuple[WeakCarving, RoundLedger]:
-    """Run a weak-diameter carving instance on the alive subgraph.
+def trivial_black_box(g, mask, eps, seed):
+    """The trivial weak carving: each component is one cluster."""
+    return _carve(g, mask, eps, seed, _trivial_component)
 
-    Components are handled independently; the returned ledger is their
-    parallel merge. The output always satisfies the full carving contract
-    for this invocation's eps (dead fraction included).
-    """
+
+def linial_saks_black_box(g, mask, eps, seed):
+    """The Linial-Saks-style weak carving described in the module docstring."""
+    return _carve(g, mask, eps, seed, _linial_saks_component)
+
+
+def _carve(g, mask, eps, seed, carve_component) -> tuple[WeakCarving, RoundLedger]:
+    """Carve each component of the alive subgraph with carve_component(g,
+    mask, comp, eps, seed) -> (clusters, dead, ledger), merge the ledgers in
+    parallel, and declare depth and congestion from the clusters' trees."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
-    alive_count = mask.count()
-    if alive_count == 0:
+    if mask.count() == 0:
         raise ValueError("alive set is empty")
-    comps = connected_components(g, mask)
-    if impl == "trivial":
-        per_comp = [_trivial_component(g, mask, comp) for comp in comps]
-    elif impl == "linial_saks":
-        r_cap = max(1, math.ceil(2.0 * math.log(alive_count) / eps))
-        per_comp = [
-            _linial_saks_component(g, mask, comp, eps, seed, r_cap) for comp in comps
-        ]
-    else:
-        raise ValueError(f"unknown impl {impl!r}")
-
     clusters: list[WeakCluster] = []
     dead_parts = []
     ledgers = []
-    for comp_clusters, comp_dead, led in per_comp:
+    for comp in connected_components(g, mask):
+        comp_clusters, comp_dead, led = carve_component(g, mask, comp, eps, seed)
         clusters.extend(comp_clusters)
         dead_parts.append(comp_dead)
         ledgers.append(led)
-    dead = (
-        np.sort(np.concatenate(dead_parts))
-        if dead_parts and sum(len(d) for d in dead_parts)
-        else np.zeros(0, dtype=np.int64)
-    )
-    declared_depth = max((c.depth for c in clusters), default=0)
+    dead = np.sort(np.concatenate(dead_parts))  # a nonempty mask has a component
     edge_use: dict[tuple[int, int], int] = {}
     for c in clusters:
         for a, b in c.tree.parent.items():
             e = (a, b) if a < b else (b, a)
             edge_use[e] = edge_use.get(e, 0) + 1
-    declared_congestion = max(edge_use.values(), default=1)
     carving = WeakCarving(
         clusters=clusters,
         dead=dead,
-        declared_depth=declared_depth,
-        declared_congestion=declared_congestion,
-        meta={"impl": impl, "eps": eps, "alive": alive_count},
+        declared_depth=max((c.depth for c in clusters), default=0),
+        declared_congestion=max(edge_use.values(), default=1),
     )
     return carving, merge_parallel(ledgers)
-
-
-def trivial_black_box(g, mask, eps, seed):
-    return weak_carve(g, mask, eps, seed, impl="trivial")
-
-
-def linial_saks_black_box(g, mask, eps, seed):
-    return weak_carve(g, mask, eps, seed, impl="linial_saks")
 
 
 # ----------------------------------------------------------------------------
@@ -170,15 +144,14 @@ def linial_saks_black_box(g, mask, eps, seed):
 # ----------------------------------------------------------------------------
 
 
-def _trivial_component(g, mask, comp):
+def _trivial_component(g, mask, comp, eps, seed):
     alive = mask.as_bytes()
     scratch = g.scratch
     root = int(comp[0])
     cum, touched = _bfs_layers(g.adj, alive, [root], scratch)
     ecc = len(cum) - 1
     parent = {v: scratch.parent[v] for v in touched if v != root}
-    tree = SteinerTree(root=root, parent=parent, terminals=comp)
-    cluster = WeakCluster(nodes=comp, tree=tree, depth=ecc)
+    cluster = WeakCluster(nodes=comp, tree=SteinerTree(root=root, parent=parent), depth=ecc)
     led = RoundLedger()
     charge_leader_election(led, ecc)
     return [cluster], np.zeros(0, dtype=np.int64), led
@@ -192,17 +165,20 @@ def _trivial_component(g, mask, comp):
 def _draw_radii(rng: np.random.Generator, k: int, p: float, r_cap: int) -> np.ndarray:
     """Truncated geometric: P[r >= t] = (1-p)^t, clipped at r_cap."""
     u = 1.0 - rng.random(k)  # in (0, 1]
-    r = np.floor(np.log(u) / math.log1p(-p)).astype(np.int64)
-    return np.minimum(r, r_cap)
+    # clipped before the cast, so a draw too long for int64 becomes r_cap
+    return np.minimum(np.floor(np.log(u) / math.log1p(-p)), r_cap).astype(np.int64)
 
 
-def _linial_saks_component(g, mask, comp, eps, seed, r_cap):
+def _linial_saks_component(g, mask, comp, eps, seed):
     alive = mask.as_bytes()
     adj = g.adj
     comp_list = [int(v) for v in comp]
     k = len(comp_list)
     p = eps / 2.0
     budget = eps * k
+    if p == 0.0:
+        raise ValueError(f"eps={eps} is too small: eps/2 is 0")
+    r_cap = max(1, _window(2.0 * math.log(mask.count()), eps, eps))
 
     for attempt in range(MAX_REDRAWS):
         rng = rng_from(seed, comp_list[0], attempt)
@@ -295,11 +271,7 @@ def _build_clusters(g, alive, winner, slack, radii):
             while v != root and v not in tree_parent:
                 tree_parent[v] = parent[v]
                 v = parent[v]
-        tree = SteinerTree(
-            root=root,
-            parent=tree_parent,
-            terminals=np.asarray(nodes, dtype=np.int64),
-        )
+        tree = SteinerTree(root=root, parent=tree_parent)
         clusters.append(
             WeakCluster(nodes=np.asarray(nodes, dtype=np.int64), tree=tree, depth=depth)
         )

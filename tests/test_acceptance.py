@@ -30,7 +30,6 @@ from netdecomp import (
     verify_decomposition,
     verify_strong_carving,
     verify_weak_carving,
-    weak_carve,
 )
 from netdecomp.cli import cli_main
 from netdecomp.seeding import derive_seed
@@ -309,7 +308,7 @@ def test_criterion_7_oracle_equivalence():
                 disagreements += 1
         else:
             eps = float(rng.uniform(0.2, 0.8))
-            wc, _ = weak_carve(g, mask, eps, case, impl="linial_saks")
+            wc, _ = linial_saks_black_box(g, mask, eps, case)
             if case % 2 and wc.clusters:
                 tc = wc.clusters[0]
                 if len(tc.tree.parent) > 0:

@@ -120,6 +120,32 @@ def test_gen_undrawable_regular_base_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps_impl", ["refined", "strong"])
+def test_carve_empty_graph(tmp_path, eps_impl):
+    gfile = tmp_path / "empty.g"
+    gfile.write_text("0 0\n")
+    out = tmp_path / "c.json"
+    argv = ["carve", "--in", str(gfile), "--eps", "0.5", "--eps-impl", eps_impl, "--seed", "7"]
+    assert run([*argv, "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["clusters"] == [] and obj["seed"] == 7
+    assert obj["stats"]["diameter_bound"] == 0
+
+
+@pytest.mark.parametrize("eps", ["1e-300", "5e-324"])
+@pytest.mark.parametrize("eps_impl", ["refined", "strong"])
+def test_carve_eps_too_small_exit_2(tmp_path, capsys, eps_impl, eps):
+    # no growth window or radius cap derived from this eps fits below 2**62
+    gfile = tmp_path / "p50.g"
+    assert run(["gen", "--type", "path", "--n", "50", "--out", str(gfile)]) == 0
+    out = tmp_path / "c.json"
+    argv = ["carve", "--in", str(gfile), "--eps", eps, "--eps-impl", eps_impl]
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_file_exit_1(tmp_path):
     assert run(["decompose", "--in", str(tmp_path / "nope.g"), "--out", str(tmp_path / "o")]) == 1
 
@@ -239,6 +265,40 @@ def test_zero_bounds_are_bounds(tmp_path, capsys):
     assert [v["kind"] for v in _printed_violations(capsys)] == ["diameter-exceeded"]
     assert _verify_clustering(tmp_path, _ONE_CLUSTER, flags=["--c-bound", "0"]) == 3
     assert [v["kind"] for v in _printed_violations(capsys)] == ["color-bound-exceeded"]
+
+
+# one cluster of diameter 5 on a 6-node path; the bound token is filled in
+_PATH6_BOUND = (
+    '{"clusters": [{"id": 0, "color": 1, "nodes": [0, 1, 2, 3, 4, 5]}],'
+    ' "stats": {"diameter_bound": %s}}'
+)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_bound_in_file_exit_4(tmp_path, capsys, token):
+    # json.load accepts these tokens; a NaN or infinite bound passes any cluster
+    assert _verify_clustering(tmp_path, _PATH6_BOUND % "2", n=6) == 3
+    capsys.readouterr()
+    assert _verify_clustering(tmp_path, _PATH6_BOUND % token, n=6) == 4
+    assert "diameter_bound is not a finite number" in capsys.readouterr().err
+
+
+def test_non_finite_eps_in_carving_file_exit_4(tmp_path, capsys):
+    # 5 of 6 nodes dead exceeds any finite eps below 5/6
+    dead = ", ".join(f'{{"node": {v}}}' for v in range(1, 6))
+    carving = '{"eps": %s, "clusters": [{"id": 0, "nodes": [0]}], "dead": [%s]}'
+    assert _verify_clustering(tmp_path, carving % ("0.5", dead), mode="carving", n=6) == 3
+    capsys.readouterr()
+    assert _verify_clustering(tmp_path, carving % ("NaN", dead), mode="carving", n=6) == 4
+    assert "eps is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--d-bound", "--eps"])
+def test_non_finite_verify_flag_exit_2(tmp_path, capsys, flag, value):
+    mode = "carving" if flag == "--eps" else "decomposition"
+    assert _verify_clustering(tmp_path, _PATH6_BOUND % "2", mode, 6, [flag, value]) == 2
+    assert "is not a finite number" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------------

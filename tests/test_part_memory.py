@@ -1,4 +1,5 @@
-"""A call on a small part of a big graph allocates part-sized memory.
+"""A call on a small part of a big graph allocates part-sized memory, and a
+call with a wide growth window allocates for the layers its BFS explores.
 
 The strong pipeline calls the weak black box, and the component split, on
 thousands of small parts; each such call must cost O(part), not O(n). The
@@ -21,7 +22,7 @@ from netdecomp import (
     generate,
     grow_ball,
     linial_saks_black_box,
-    weak_carve,
+    trivial_black_box,
 )
 
 N = 200_000
@@ -50,8 +51,8 @@ def peak_bytes(call) -> int:
 
 CALLS = {
     "connected_components": (lambda g, m: connected_components(g, m), 64 * KIB),
-    "weak_carve-trivial": (lambda g, m: weak_carve(g, m, 0.1, 3, impl="trivial"), 64 * KIB),
-    "weak_carve-linial_saks": (lambda g, m: weak_carve(g, m, 0.1, 3), 64 * KIB),
+    "trivial_black_box": (lambda g, m: trivial_black_box(g, m, 0.1, 3), 64 * KIB),
+    "linial_saks_black_box": (lambda g, m: linial_saks_black_box(g, m, 0.1, 3), 64 * KIB),
     "grow_ball": (lambda g, m: grow_ball(g, m, 100_020, 0, 6, 0.5), 64 * KIB),
     "cut_or_cluster": (lambda g, m: cut_or_cluster(g, m, 0.5), 64 * KIB),
     # builds an n-length mask per part; bounded by the few alive at a time
@@ -65,3 +66,22 @@ def test_part_sized_call_allocates_part_sized_memory(part, name):
     call, bound = CALLS[name]
     peak = peak_bytes(lambda: call(g, mask))
     assert peak < bound, f"{name} on a 40-node part of {N} nodes peaked at {peak} bytes"
+
+
+WIDE_WINDOWS = {
+    # growth window of 10**7 layers on a path of 50 nodes
+    "grow_ball": lambda g, m: grow_ball(g, m, 0, 0, 10**7, 0.5),
+    # eps 1e-3 gives a final-ball window of about 34,000 layers
+    "cut_or_cluster": lambda g, m: cut_or_cluster(g, m, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDE_WINDOWS))
+def test_wide_growth_window_allocates_the_explored_depth(name):
+    # the BFS saturates the path long before the window ends; one saturated
+    # ball size past that point ends the search, however wide the window
+    g = generate("path", n=50)
+    mask = NodeMask.full(50)
+    call = WIDE_WINDOWS[name]
+    peak = peak_bytes(lambda: call(g, mask))
+    assert peak < 64 * KIB, f"{name} with a wide window on a 50-node path peaked at {peak} bytes"

@@ -70,11 +70,12 @@ def test_min_ratio_matches_fraction_scan_oracle():
 
 
 def halve(g, seeds, b):
-    """One halving step on the whole (connected) graph, with the preorder
-    positions cut_or_cluster computes once per call."""
+    """One halving step on the whole (connected) graph, with the seeds put
+    in the preorder cut_or_cluster keeps its seed set in."""
     alive = NodeMask.full(g.n).as_bytes()
     pos = {v: i for i, v in enumerate(_preorder(g.adj, alive, 0, g.scratch)[0])}
-    return _halve(g.adj, alive, [int(v) for v in seeds], pos, g.scratch, g.n, b)
+    ordered = sorted((int(v) for v in seeds), key=pos.__getitem__)
+    return _halve(g.adj, alive, ordered, g.scratch, g.n, b)
 
 
 def test_halve_two_node_edge():
@@ -136,6 +137,21 @@ def test_single_node_component():
     g = generate("path", n=1)
     out, _ = cut_or_cluster(g, NodeMask.full(1), 0.5)
     assert out.variant == "component" and out.component.tolist() == [0]
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-15])
+def test_eps_too_small_for_the_halo_window(eps):
+    # rho = 1 + eps / (8 ln n) rounds to 1, so log(rho) is 0
+    g = generate("path", n=50)
+    with pytest.raises(ValueError, match="eps="):
+        cut_or_cluster(g, NodeMask.full(50), eps)
+
+
+def test_refine_empty_mask_declares_a_zero_bound():
+    g = generate("path", n=3)
+    empty = NodeMask.full(3).without([0, 1, 2])
+    sc = refine(g, empty, 0.5, 7, make_strong_carver(trivial_black_box))
+    assert sc.clusters == [] and sc.meta["diameter_bound"] == 0 and sc.meta["seed"] == 7
 
 
 def test_disconnected_input_rejected():

@@ -36,6 +36,13 @@ def test_params_materialized_from_n_and_eps():
     assert single.i_max == 1 and single.growth_cap == 1
 
 
+@pytest.mark.parametrize("eps", [1e-300, 5e-324])
+def test_params_reject_an_eps_too_small_for_the_growth_cap(eps):
+    # ln(50) / -log1p(-eps/2) is past 2**62, or a division by 0
+    with pytest.raises(ValueError, match="eps="):
+        CarvingParams.for_entry(50, eps)
+
+
 # ----------------------------------------------------------------------------
 # grow_ball
 # ----------------------------------------------------------------------------
@@ -107,7 +114,7 @@ def _mk_carving(sizes):
     base = 0
     for s in sizes:
         nodes = np.arange(base, base + s)
-        tree = SteinerTree(root=int(nodes[0]), parent={}, terminals=nodes)
+        tree = SteinerTree(root=int(nodes[0]), parent={})
         clusters.append(WeakCluster(nodes=nodes, tree=tree, depth=0))
         base += s + 1
     return WeakCarving(
@@ -255,7 +262,7 @@ def _segment_black_box(segment: int):
         for run in clusters:
             nodes = np.asarray(run, dtype=np.int64)
             parent = {run[i]: run[i - 1] for i in range(1, len(run))}
-            tree = SteinerTree(root=run[0], parent=parent, terminals=nodes)
+            tree = SteinerTree(root=run[0], parent=parent)
             out.append(WeakCluster(nodes=nodes, tree=tree, depth=len(run) - 1))
         led = RoundLedger()
         led.add("scripted", 1)

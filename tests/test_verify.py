@@ -142,7 +142,7 @@ def test_node_outside_graph_is_only_outside_input(bad):
     res = verify_strong_carving(g, NodeMask.full(5), c, 0.5, 4)
     assert [(v.kind, v.witness) for v in res] == expected
     nodes = np.array([0, 1, bad])
-    tree = SteinerTree(root=0, parent={1: 0}, terminals=nodes)
+    tree = SteinerTree(root=0, parent={1: 0})
     w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=1)], [2, 3, 4], 1, 1)
     assert [(v.kind, v.witness) for v in verify_weak_carving(g, NodeMask.full(5), w, 0.9)] == expected
 
@@ -150,7 +150,7 @@ def test_node_outside_graph_is_only_outside_input(bad):
 def test_steiner_tree_through_a_node_outside_graph():
     g = generate("path", n=3)
     nodes = np.array([0, 1])
-    tree = SteinerTree(root=0, parent={1: 0, 9: 1}, terminals=nodes)
+    tree = SteinerTree(root=0, parent={1: 0, 9: 1})
     w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=2)], [2], 2, 1)
     res = verify_weak_carving(g, NodeMask.full(3), w, 0.5)
     assert [(v.kind, v.witness["reason"]) for v in res] == [
@@ -190,18 +190,20 @@ def _weak(clusters_with_trees, dead, depth, congestion):
 def test_weak_missing_terminal():
     g = generate("path", n=3)
     nodes = np.array([0, 1, 2])
-    tree = SteinerTree(root=0, parent={1: 0}, terminals=nodes)  # 2 missing
+    tree = SteinerTree(root=0, parent={1: 0})  # 2 missing
     w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=2)], [], 2, 1)
-    kinds = [v.kind for v in verify_weak_carving(g, NodeMask.full(3), w, 0.5)]
-    assert kinds == ["steiner-terminals"]
+    res = verify_weak_carving(g, NodeMask.full(3), w, 0.5)
+    assert [(v.kind, v.witness["reason"]) for v in res] == [
+        ("steiner-terminals", "terminal missing from tree")
+    ]
 
 
 def test_weak_congestion_counted():
     # two clusters whose trees share edge (1,2) while declaring L = 1
     g = generate("path", n=4)
     mask = NodeMask.full(4)
-    t1 = SteinerTree(root=0, parent={1: 0, 2: 1}, terminals=np.array([0, 2]))
-    t2 = SteinerTree(root=3, parent={2: 3, 1: 2}, terminals=np.array([1, 3]))
+    t1 = SteinerTree(root=0, parent={1: 0, 2: 1})
+    t2 = SteinerTree(root=3, parent={2: 3, 1: 2})
     w = _weak(
         [
             WeakCluster(nodes=np.array([0, 2]), tree=t1, depth=2),
@@ -219,7 +221,7 @@ def test_weak_congestion_counted():
 def test_weak_depth_exceeded():
     g = generate("path", n=4)
     nodes = np.array([0, 1, 2, 3])
-    tree = SteinerTree(root=0, parent={1: 0, 2: 1, 3: 2}, terminals=nodes)
+    tree = SteinerTree(root=0, parent={1: 0, 2: 1, 3: 2})
     w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=3)], [], 2, 1)
     kinds = [v.kind for v in verify_weak_carving(g, NodeMask.full(4), w, 0.5)]
     assert kinds == ["steiner-depth"]
@@ -294,8 +296,8 @@ def test_dense_twin_agrees_on_weak_cases():
     g = generate("path", n=4)
     mask = NodeMask.full(4)
     nodes = np.array([0, 1, 2, 3])
-    good = SteinerTree(root=0, parent={1: 0, 2: 1, 3: 2}, terminals=nodes)
-    broken = SteinerTree(root=0, parent={1: 3, 2: 1, 3: 2}, terminals=nodes)
+    good = SteinerTree(root=0, parent={1: 0, 2: 1, 3: 2})
+    broken = SteinerTree(root=0, parent={1: 3, 2: 1, 3: 2})
     for tree, depth in ((good, 3), (good, 2), (broken, 3)):
         w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=depth)], [], depth, 1)
         fast = _kinds(verify_weak_carving(g, mask, w, 0.5))

@@ -6,30 +6,52 @@ import pytest
 from netdecomp import (
     NodeMask,
     generate,
+    linial_saks_black_box,
+    trivial_black_box,
     verify_weak_carving,
-    weak_carve,
+    weak,
 )
 
 from conftest import fuzz_graph
 
 
+BLACK_BOXES = {"trivial": trivial_black_box, "linial_saks": linial_saks_black_box}
+
+
 def test_eps_out_of_range():
     g = generate("path", n=3)
-    for eps in (0.0, 1.0, -0.2, 2.0):
-        with pytest.raises(ValueError):
-            weak_carve(g, NodeMask.full(3), eps, 0)
+    for black_box in BLACK_BOXES.values():
+        for eps in (0.0, 1.0, -0.2, 2.0):
+            with pytest.raises(ValueError):
+                black_box(g, NodeMask.full(3), eps, 0)
 
 
 def test_empty_alive_set():
     g = generate("path", n=3)
-    with pytest.raises(ValueError):
-        weak_carve(g, NodeMask(np.zeros(3, dtype=bool)), 0.5, 0)
+    for black_box in BLACK_BOXES.values():
+        with pytest.raises(ValueError):
+            black_box(g, NodeMask(np.zeros(3, dtype=bool)), 0.5, 0)
 
 
-@pytest.mark.parametrize("impl", ["trivial", "linial_saks"])
+def test_radii_near_the_cap_limit_stay_in_range():
+    # with p = 1e-18 a draw u < e**-9.3 gives a radius past int64 before the
+    # clip; it must come out as r_cap, not as a wrapped negative number
+    r = weak._draw_radii(np.random.default_rng(0), 100_000, 1e-18, 2**61)
+    assert r.min() >= 0 and r.max() == 2**61
+
+
+def test_linial_saks_eps_too_small_for_the_radius_cap():
+    # ceil(2 ln(3) / eps) does not fit in int64; eps / 2 underflows to 0
+    g = generate("path", n=3)
+    for eps in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match="eps="):
+            linial_saks_black_box(g, NodeMask.full(3), eps, 0)
+
+
+@pytest.mark.parametrize("impl", sorted(BLACK_BOXES))
 def test_single_node(impl):
     g = generate("path", n=1)
-    wc, _ = weak_carve(g, NodeMask.full(1), 0.5, 3, impl=impl)
+    wc, _ = BLACK_BOXES[impl](g, NodeMask.full(1), 0.5, 3)
     assert len(wc.clusters) == 1
     assert wc.clusters[0].nodes.tolist() == [0]
     assert len(wc.dead) == 0
@@ -39,7 +61,7 @@ def test_single_node(impl):
 def test_trivial_connected_graph_one_cluster():
     g = generate("gnp", 7, n=30, p=0.2)
     mask = NodeMask.full(30)
-    wc, led = weak_carve(g, mask, 0.5, 0, impl="trivial")
+    wc, led = trivial_black_box(g, mask, 0.5, 0)
     assert len(wc.clusters) == 1
     assert wc.clusters[0].nodes.tolist() == list(range(30))
     assert wc.declared_congestion == 1
@@ -52,7 +74,7 @@ def test_trivial_connected_graph_one_cluster():
 def test_trivial_handles_components_independently():
     g = generate("path", n=7)
     mask = NodeMask.full(7).without([3])
-    wc, _ = weak_carve(g, mask, 0.5, 0, impl="trivial")
+    wc, _ = trivial_black_box(g, mask, 0.5, 0)
     assert len(wc.clusters) == 2
     assert sorted(c.nodes.tolist() for c in wc.clusters) == [[0, 1, 2], [4, 5, 6]]
     assert not verify_weak_carving(g, mask, wc, 0.5)
@@ -62,7 +84,7 @@ def test_linial_saks_structural_over_seeds():
     g = generate("gnp", 5, n=120, p=0.03)
     mask = NodeMask.full(120)
     for seed in range(20):
-        wc, _ = weak_carve(g, mask, 0.3, seed, impl="linial_saks")
+        wc, _ = linial_saks_black_box(g, mask, 0.3, seed)
         violations = verify_weak_carving(g, mask, wc, 0.3)
         assert not violations, [v.to_json() for v in violations]
 
@@ -75,7 +97,7 @@ def test_linial_saks_respects_radius_cap():
     eps = 0.25
     r_cap = max(1, math.ceil(2 * math.log(80) / eps))
     for seed in range(10):
-        wc, _ = weak_carve(g, mask, eps, seed, impl="linial_saks")
+        wc, _ = linial_saks_black_box(g, mask, eps, seed)
         assert wc.declared_depth <= r_cap
         assert wc.declared_congestion <= r_cap
 
@@ -85,7 +107,7 @@ def test_linial_saks_clusters_non_adjacent_exhaustive():
     for _ in range(25):
         g = fuzz_graph(rng, max_n=70)
         mask = NodeMask.full(g.n)
-        wc, _ = weak_carve(g, mask, 0.4, int(rng.integers(2**31)), impl="linial_saks")
+        wc, _ = linial_saks_black_box(g, mask, 0.4, int(rng.integers(2**31)))
         owner = {}
         for k, c in enumerate(wc.clusters):
             for v in c.nodes.tolist():
@@ -104,18 +126,18 @@ def test_linial_saks_dead_within_budget_every_run():
         g = fuzz_graph(rng, max_n=90)
         mask = NodeMask.full(g.n)
         eps = float(rng.uniform(0.1, 0.6))
-        wc, _ = weak_carve(g, mask, eps, int(rng.integers(2**31)), impl="linial_saks")
+        wc, _ = linial_saks_black_box(g, mask, eps, int(rng.integers(2**31)))
         assert len(wc.dead) <= eps * g.n
 
 
 def test_linial_saks_deterministic():
     g = generate("gnp", 9, n=100, p=0.04)
     mask = NodeMask.full(100)
-    a, led_a = weak_carve(g, mask, 0.3, 42, impl="linial_saks")
-    b, led_b = weak_carve(g, mask, 0.3, 42, impl="linial_saks")
+    a, led_a = linial_saks_black_box(g, mask, 0.3, 42)
+    b, led_b = linial_saks_black_box(g, mask, 0.3, 42)
     assert json.dumps(a.to_json()) == json.dumps(b.to_json())
     assert led_a.to_json() == led_b.to_json()
-    c, _ = weak_carve(g, mask, 0.3, 43, impl="linial_saks")
+    c, _ = linial_saks_black_box(g, mask, 0.3, 43)
     assert json.dumps(a.to_json()) != json.dumps(c.to_json()) or len(a.clusters) == 1
 
 
@@ -127,19 +149,13 @@ def test_steiner_root_may_sit_outside_its_cluster():
     for trial in range(40):
         g = fuzz_graph(rng, max_n=60)
         mask = NodeMask.full(g.n)
-        wc, _ = weak_carve(g, mask, 0.5, trial, impl="linial_saks")
+        wc, _ = linial_saks_black_box(g, mask, 0.5, trial)
         assert not verify_weak_carving(g, mask, wc, 0.5)
         for c in wc.clusters:
             if int(c.tree.root) not in set(c.nodes.tolist()):
                 seen_outside += 1
     # not asserting seen_outside > 0: rare but allowed; the verifier accepting
     # every run is the real check
-
-
-def test_unknown_impl():
-    g = generate("path", n=2)
-    with pytest.raises(ValueError):
-        weak_carve(g, NodeMask.full(2), 0.5, 0, impl="magic")
 
 
 def test_linial_saks_g500_hundred_seeds_mean_dead_and_structure():
@@ -151,7 +167,7 @@ def test_linial_saks_g500_hundred_seeds_mean_dead_and_structure():
     eps = 0.25
     fractions = []
     for seed in range(100):
-        wc, _ = weak_carve(g, mask, eps, seed, impl="linial_saks")
+        wc, _ = linial_saks_black_box(g, mask, eps, seed)
         violations = verify_weak_carving(g, mask, wc, eps)
         assert not violations, (seed, [v.to_json() for v in violations])
         fractions.append(len(wc.dead) / 500)
