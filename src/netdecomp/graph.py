@@ -199,6 +199,16 @@ def _check_sorted_ids(ids: np.ndarray, n: int) -> None:
         raise ValueError(f"node {bad} out of range for n={n}")
 
 
+def _setdiff(ids: np.ndarray, drop) -> np.ndarray:
+    """np.setdiff1d(ids, drop) for ascending unique ids and any `drop`."""
+    drop = np.asarray(drop)
+    keep = np.ones(ids.size, dtype=bool)
+    if ids.size:
+        pos = np.minimum(np.searchsorted(ids, drop), ids.size - 1)
+        keep[pos[ids[pos] == drop]] = False
+    return ids[keep]
+
+
 # ----------------------------------------------------------------------------
 # Traversal workspace: repeated small BFS calls on a big graph should cost
 # O(touched), not O(n). Stamp arrays avoid clearing between calls.
@@ -212,12 +222,12 @@ class Scratch:
     to the current traversal iff its stamp equals that generation, so no
     buffer is ever cleared.
 
-    Traversals mark nodes in `stamp`, and `_bfs_layers` records each
-    node's first discoverer in `parent`. `budget` holds the largest
-    remaining broadcast range seen at each node by the Linial-Saks claim
-    (`weak._claim`), its only user. State is readable only until the next
-    `begin()`: a stage may not call into another stage (or any traversal)
-    while it still reads the workspace.
+    Traversals mark nodes in `stamp`. `_bfs_layers` and each flood of the
+    Linial-Saks claim (`weak._claim`, which reads its trees off it) record
+    each node's first discoverer in `parent`; `budget` holds the largest
+    broadcast range the claim (its only user) has seen at each node. State
+    is readable only until the next `begin()`: a stage may not call into
+    another stage (or any traversal) while it still reads the workspace.
     """
 
     __slots__ = ("budget", "stamp", "parent", "gen")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _preorder, _window
+from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _preorder, _setdiff, _window
 # Never called here; kept because perfbench/spans.py wraps this name by path.
 from .graph import connected_components  # noqa: F401
 from .ledger import RoundLedger, charge_bfs, merge_parallel
@@ -343,7 +343,10 @@ def refine(
             raise InvariantViolation(f"refinement recursion exceeded {lmax} levels")
         stats["max_depth"] = max(stats["max_depth"], depth)
         part_mask = NodeMask.from_nodes(g.n, part)
-        sc = strong_carver(g, part_mask, eps_carve, derive_seed(seed, depth, int(part[0])))
+        try:
+            sc = strong_carver(g, part_mask, eps_carve, derive_seed(seed, depth, int(part[0])))
+        except ValueError as e:  # part_mask is a valid part: only the budget can be at fault
+            raise ValueError(f"eps={eps}: the carver rejects eps/(4*LMAX)={eps_carve}: {e}") from e
         if len(sc.dead_black_box) + len(sc.dead_boundary) > eps_carve * len(part):
             raise InvariantViolation("carver exceeded its per-level dead budget")
         dead_bb.extend(int(v) for v in sc.dead_black_box)
@@ -354,7 +357,10 @@ def refine(
         for cl in sc.clusters:
             c_nodes = cl.nodes
             eps_cc = eps * LAYER_BUDGET_CONSTANT * math.log(max(len(c_nodes), 2)) / (4 * lmax)
-            outcome, cc_led = cut_or_cluster(g, NodeMask.from_nodes(g.n, c_nodes), eps_cc)
+            try:
+                outcome, cc_led = cut_or_cluster(g, NodeMask.from_nodes(g.n, c_nodes), eps_cc)
+            except ValueError as e:  # a carver's cluster is a valid input but for the budget
+                raise ValueError(f"eps={eps}: cut_or_cluster rejects eps={eps_cc}: {e}") from e
             branch = RoundLedger()
             branch.extend(cc_led)
             children: list[np.ndarray] = []
@@ -368,11 +374,7 @@ def refine(
                     StrongCluster(nodes=outcome.component, center=int(outcome.center))
                 )
                 dead_bd.extend(int(v) for v in outcome.halo)
-                rem = np.setdiff1d(
-                    c_nodes,
-                    np.concatenate([outcome.component, outcome.halo]),
-                    assume_unique=True,
-                )
+                rem = _setdiff(c_nodes, np.concatenate([outcome.component, outcome.halo]))
                 if rem.size:
                     children = [rem]
             if children:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _window, connected_components
+from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _setdiff, _window
+from .graph import connected_components
 from .ledger import RoundLedger, charge_bfs, charge_steiner_aggregate, merge_parallel
 from .seeding import derive_seed
 from .weak import WeakCarving, WeakCluster
@@ -207,11 +208,8 @@ def carve_strong(
         traces.append(out["trace"])
         r_bb = max(r_bb, out["max_black_box_depth"])
         k_max = max(k_max, out["growth_cap"])
-        n0 = len(comp)
-        if len(out["dead_black_box"]) > (eps / 2) * n0:
-            budget_ok = False
-        if len(out["dead_boundary"]) > (eps / 2) * n0:
-            budget_ok = False
+        pools = (len(out["dead_black_box"]), len(out["dead_boundary"]))
+        budget_ok = budget_ok and max(pools) <= (eps / 2) * len(comp)
     ledger = merge_parallel(ledgers) if ledgers else RoundLedger()
     return StrongCarving(
         clusters=clusters,
@@ -258,11 +256,14 @@ def _carve_component(g, comp, eps, seed, black_box):
             if len(s_nodes) == 1:
                 clusters.append(StrongCluster(nodes=s_nodes, center=int(s_nodes[0])))
                 continue
-            led = RoundLedger()
+            led = RoundLedger()  # filled below; merged after the iteration
+            iter_ledgers.append(led)
             s_mask = NodeMask.from_nodes(g.n, s_nodes)
-            wc, bb_led = black_box(
-                g, s_mask, params.eps_prime, derive_seed(seed, i, int(s_nodes[0]))
-            )
+            eps_bb = params.eps_prime
+            try:
+                wc, bb_led = black_box(g, s_mask, eps_bb, derive_seed(seed, i, int(s_nodes[0])))
+            except ValueError as e:  # s_mask is a valid part: only the budget can be at fault
+                raise ValueError(f"eps={eps}: the black box rejects eps={eps_bb}: {e}") from e
             led.extend(bb_led)
             charge_steiner_aggregate(led, wc.declared_depth, wc.declared_congestion)
             trace["black_box_bounds"].append((wc.declared_depth, wc.declared_congestion))
@@ -272,16 +273,13 @@ def _carve_component(g, comp, eps, seed, black_box):
                 # pathological black box killed everything: fail soft,
                 # count the whole piece against the black-box pool
                 dead_bb.extend(int(v) for v in s_nodes)
-                iter_ledgers.append(led)
                 continue
 
             giant = detect_giant(wc, n0 / (1 << i))
             if giant is None:
                 # thin case: unclustered nodes die, survivors split
                 dead_bb.extend(int(v) for v in wc.dead)
-                survivors = np.setdiff1d(s_nodes, wc.dead, assume_unique=True)
-                if survivors.size:
-                    nxt.extend(connected_components(g, NodeMask.from_nodes(g.n, survivors)))
+                gone = wc.dead
             else:
                 # giant case: swallow the giant cluster into one BFS ball
                 r_star, ball, boundary = grow_ball(
@@ -291,12 +289,10 @@ def _carve_component(g, comp, eps, seed, black_box):
                 trace["r_stars"].append(r_star)
                 clusters.append(StrongCluster(nodes=ball, center=int(giant.tree.root)))
                 dead_bd.extend(int(v) for v in boundary)
-                remaining = np.setdiff1d(
-                    s_nodes, np.concatenate([ball, boundary]), assume_unique=True
-                )
-                if remaining.size:
-                    nxt.extend(connected_components(g, NodeMask.from_nodes(g.n, remaining)))
-            iter_ledgers.append(led)
+                gone = np.concatenate([ball, boundary])
+            rest = _setdiff(s_nodes, gone)
+            if rest.size:
+                nxt.extend(connected_components(g, NodeMask.from_nodes(g.n, rest)))
         if iter_ledgers:
             total.extend(merge_parallel(iter_ledgers))
         current = nxt

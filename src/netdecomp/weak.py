@@ -125,10 +125,11 @@ def _carve(g, mask, eps, seed, carve_component) -> tuple[WeakCarving, RoundLedge
         dead_parts.append(comp_dead)
         ledgers.append(led)
     dead = np.sort(np.concatenate(dead_parts))  # a nonempty mask has a component
-    edge_use: dict[tuple[int, int], int] = {}
+    n = g.n
+    edge_use: dict[int, int] = {}  # tree edges, keyed a*n+b with a < b
     for c in clusters:
         for a, b in c.tree.parent.items():
-            e = (a, b) if a < b else (b, a)
+            e = a * n + b if a < b else b * n + a
             edge_use[e] = edge_use.get(e, 0) + 1
     carving = WeakCarving(
         clusters=clusters,
@@ -170,29 +171,22 @@ def _draw_radii(rng: np.random.Generator, k: int, p: float, r_cap: int) -> np.nd
 
 
 def _linial_saks_component(g, mask, comp, eps, seed):
-    alive = mask.as_bytes()
-    adj = g.adj
-    comp_list = [int(v) for v in comp]
+    comp_list = comp.tolist()
     k = len(comp_list)
     p = eps / 2.0
-    budget = eps * k
     if p == 0.0:
         raise ValueError(f"eps={eps} is too small: eps/2 is 0")
     r_cap = max(1, _window(2.0 * math.log(mask.count()), eps, eps))
 
     for attempt in range(MAX_REDRAWS):
         rng = rng_from(seed, comp_list[0], attempt)
-        radii_arr = _draw_radii(rng, k, p, r_cap)
-        radii = dict(zip(comp_list, radii_arr.tolist()))
-        winner, slack, rounds = _claim(adj, alive, comp_list, radii, g.scratch)
-        dead = [v for v in comp_list if slack[v] == 0]
+        radii = _draw_radii(rng, k, p, r_cap).tolist()
+        clusters, dead, rounds = _claim(g.adj, mask.as_bytes(), comp_list, radii, g.scratch)
         led = RoundLedger()
         led.add("ls-broadcast", rounds + 1)
-        if len(dead) <= budget:
-            clusters = _build_clusters(g, alive, winner, slack, radii)
-            depth = max((c.depth for c in clusters), default=0)
-            led.add("ls-tree", depth)
-            return clusters, np.asarray(sorted(dead), dtype=np.int64), led
+        if len(dead) <= eps * k:
+            led.add("ls-tree", max((c.depth for c in clusters), default=0))
+            return clusters, np.sort(np.asarray(dead, dtype=np.int64)), led
         # redraw this component with a fresh derived stream
     raise InvariantViolation(
         f"linial_saks: no compliant radius draw after {MAX_REDRAWS} attempts "
@@ -201,78 +195,74 @@ def _linial_saks_component(g, mask, comp, eps, seed):
 
 
 def _claim(adj, alive, comp_list, radii, scratch):
-    """Assign each node the highest-id broadcaster reaching it, plus slack.
+    """Assign each node the highest-id broadcaster reaching it, with slack
+    (radius minus distance): slack 0 kills the node, slack >= 1 puts it in
+    the broadcaster's cluster. Returns (clusters by ascending root, with
+    their trees; dead nodes; deepest flood in hops).
 
-    Processes broadcasters in descending id order. best_budget[v] records the
-    largest remaining broadcast range seen at v so far; a later (lower-id)
-    broadcast may only pass through v with a strictly larger remaining range,
-    since anything it could reach beyond v is already covered by the earlier
-    broadcast. This prunes dominated floods without changing any winner, and
-    recorded slacks equal radius minus true graph distance.
+    radii[i] is comp_list[i]'s radius; broadcasters go in descending id
+    order; a node is claimed once it carries this call's stamp. best_budget
+    (the workspace's `budget`, reset to -1 on the component, which holds
+    every node a flood reaches) is the largest remaining range seen at each
+    node; a later broadcast only passes v with a strictly larger one, as the
+    earlier one covers the rest. That prunes floods without changing any
+    winner, and a node's budget when claimed is its slack.
 
-    best_budget is the workspace's `budget` list, reset to -1 on the component:
-    a flood only reaches alive neighbours, which lie in the same component.
+    u's tree is the paths up from its members through `parent`, walked
+    before the next flood overwrites it. These are BFS-tree paths: no
+    earlier flood reached a node on a shortest path from u to a node u
+    claims with that much budget (it would have claimed the node), so u's
+    flood reaches it at its BFS layer and, by induction on layers, first
+    from its BFS parent.
     """
-    scratch.begin()
-    best_budget = scratch.budget
+    gen = scratch.begin()
+    best_budget, parent, stamp = scratch.budget, scratch.parent, scratch.stamp
     for v in comp_list:
         best_budget[v] = -1
-    winner: dict[int, int] = {}
-    slack: dict[int, int] = {}
-    unclaimed = len(comp_list)
+    k = len(comp_list)
+    clusters = []
+    dead = []
+    clustered = 0
     max_rounds = 0
-    for u in sorted(comp_list, reverse=True):
-        if unclaimed == 0:
-            break
-        ru = radii[u]
+    for i in range(k - 1, -1, -1):
+        if clustered + len(dead) == k:
+            break  # every node is claimed
+        u, ru = comp_list[i], radii[i]
         if best_budget[u] >= ru:
             continue
         best_budget[u] = ru
-        if u not in winner:
-            winner[u] = u
-            slack[u] = ru
-            unclaimed -= 1
+        members = []
+        if stamp[u] != gen:
+            stamp[u] = gen
+            (members if ru else dead).append(u)
         frontier = [u]
         b = ru
-        layers = 0
         while frontier and b > 0:
             b -= 1
-            layers += 1
+            claims = members if b else dead
             nxt = []
             for x in frontier:
                 for w in adj[x]:
                     if alive[w] and best_budget[w] < b:
                         best_budget[w] = b
-                        if w not in winner:
-                            winner[w] = u
-                            slack[w] = b
-                            unclaimed -= 1
+                        parent[w] = x
+                        if stamp[w] != gen:
+                            stamp[w] = gen
+                            claims.append(w)
                         nxt.append(w)
             frontier = nxt
-        max_rounds = max(max_rounds, layers)
-    return winner, slack, max_rounds
-
-
-def _build_clusters(g, alive, winner, slack, radii):
-    members: dict[int, list[int]] = {}
-    for v, u in winner.items():
-        if slack[v] >= 1:
-            members.setdefault(u, []).append(v)
-    scratch = g.scratch
-    clusters = []
-    for root in sorted(members):
-        nodes = sorted(members[root])
-        depth = max(radii[root] - slack[m] for m in nodes)
-        _bfs_layers(g.adj, alive, [root], scratch, r_max=depth)
-        parent = scratch.parent
-        tree_parent: dict[int, int] = {}
-        for m in nodes:
-            v = m
-            while v != root and v not in tree_parent:
-                tree_parent[v] = parent[v]
-                v = parent[v]
-        tree = SteinerTree(root=root, parent=tree_parent)
-        clusters.append(
-            WeakCluster(nodes=np.asarray(nodes, dtype=np.int64), tree=tree, depth=depth)
-        )
-    return clusters
+        max_rounds = max(max_rounds, ru - b)
+        if members:
+            clustered += len(members)
+            # u's flood set each member's budget once, when it claimed it
+            depth = ru - min(best_budget[m] for m in members)
+            members.sort()
+            tree_parent: dict[int, int] = {}
+            for v in members:
+                while v != u and v not in tree_parent:
+                    tree_parent[v] = parent[v]
+                    v = parent[v]
+            tree = SteinerTree(root=u, parent=tree_parent)
+            clusters.append(WeakCluster(np.asarray(members, dtype=np.int64), tree, depth))
+    clusters.reverse()
+    return clusters, dead, max_rounds

@@ -81,6 +81,21 @@ def ref_ball_sizes(g: Graph, alive: set[int], sources, r_max: int) -> list[int]:
     return [sum(1 for d in dist.values() if d <= r) for r in range(r_max + 1)]
 
 
+def ref_bfs_tree(g: Graph, alive: set[int], root: int) -> tuple[dict[int, int], dict[int, int]]:
+    """BFS parents and distances from root inside alive: a FIFO queue,
+    neighbours in ascending id order, a node's first discoverer is its
+    parent (the root has none)."""
+    parent, dist = {}, {root: 0}
+    q = deque([root])
+    while q:
+        u = q.popleft()
+        for w in sorted(g.adj[u]):
+            if w in alive and w not in dist:
+                parent[w], dist[w] = u, dist[u] + 1
+                q.append(w)
+    return parent, dist
+
+
 def ref_eccentricity(g: Graph, alive: set[int], v: int) -> int:
     dist = {v: 0}
     q = deque([v])

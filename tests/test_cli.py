@@ -135,14 +135,17 @@ def test_carve_empty_graph(tmp_path, eps_impl):
 @pytest.mark.parametrize("eps", ["1e-300", "5e-324"])
 @pytest.mark.parametrize("eps_impl", ["refined", "strong"])
 def test_carve_eps_too_small_exit_2(tmp_path, capsys, eps_impl, eps):
-    # no growth window or radius cap derived from this eps fits below 2**62
+    # no growth window or radius cap derived from this eps fits below 2**62;
+    # refined hands its carver eps/(4*LMAX), 2.5e-302 or 0.0 on 50 nodes, and
+    # the error names the eps on the command line, the derived one as reason
     gfile = tmp_path / "p50.g"
     assert run(["gen", "--type", "path", "--n", "50", "--out", str(gfile)]) == 0
     out = tmp_path / "c.json"
     argv = ["carve", "--in", str(gfile), "--eps", eps, "--eps-impl", eps_impl]
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: eps") and "Traceback" not in err
+    assert err.startswith((f"error: eps={eps}:", f"error: eps={eps} ")), err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

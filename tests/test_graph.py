@@ -215,6 +215,20 @@ def test_from_nodes_keeps_sorted_unique_ids(data):
     assert array.flags.writeable  # the caller's array is copied, not frozen
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(st.integers(-40, 40), unique=True).map(sorted),
+    drop=st.lists(st.integers(-60, 60), max_size=30),
+)
+def test_setdiff_equals_numpy_setdiff1d(a, drop):
+    # drop may repeat ids, be unsorted and hold ids that are not in a
+    ids = np.asarray(a, dtype=np.int64)
+    expect = np.setdiff1d(ids, np.asarray(drop, dtype=np.int64))
+    got = graphmod._setdiff(ids, np.asarray(drop, dtype=np.int64))
+    assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
+    assert graphmod._setdiff(ids, drop).tolist() == expect.tolist()
+
+
 def test_from_nodes_rejects_out_of_range_ids():
     for nodes in ([5], [-1, 2]):
         with pytest.raises(ValueError, match="out of range"):

@@ -147,6 +147,17 @@ def test_eps_too_small_for_the_halo_window(eps):
         cut_or_cluster(g, NodeMask.full(50), eps)
 
 
+def test_refine_budget_errors_name_the_passed_eps():
+    # eps/(4*LMAX) fits the trivial carver's growth cap, but cut_or_cluster's
+    # 1 + eps_cc / (8 ln n) rounds to 1; for 1e-300 the carver's cap fails
+    g, mask = generate("path", n=50), NodeMask.full(50)
+    carver = make_strong_carver(trivial_black_box)
+    with pytest.raises(ValueError, match=r"^eps=1e-15: cut_or_cluster rejects eps="):
+        refine(g, mask, 1e-15, 0, carver)
+    with pytest.raises(ValueError, match=r"^eps=1e-300: the carver rejects eps/\(4\*LMAX\)="):
+        refine(g, mask, 1e-300, 0, carver)
+
+
 def test_refine_empty_mask_declares_a_zero_bound():
     g = generate("path", n=3)
     empty = NodeMask.full(3).without([0, 1, 2])

@@ -43,6 +43,13 @@ def test_params_reject_an_eps_too_small_for_the_growth_cap(eps):
         CarvingParams.for_entry(50, eps)
 
 
+def test_black_box_budget_error_names_the_passed_eps():
+    # ln(50) / -log1p(-eps/2) fits, but the black box's eps/(2*I) radius cap does not
+    g = generate("path", n=50)
+    with pytest.raises(ValueError, match=r"^eps=1e-17: the black box rejects eps="):
+        carve_strong(g, NodeMask.full(50), 1e-17, 0, linial_saks_black_box)
+
+
 # ----------------------------------------------------------------------------
 # grow_ball
 # ----------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdecomp import (
     NodeMask,
@@ -12,7 +14,7 @@ from netdecomp import (
     weak,
 )
 
-from conftest import fuzz_graph
+from conftest import fuzz_graph, ref_bfs_tree
 
 
 BLACK_BOXES = {"trivial": trivial_black_box, "linial_saks": linial_saks_black_box}
@@ -173,3 +175,57 @@ def test_linial_saks_g500_hundred_seeds_mean_dead_and_structure():
         fractions.append(len(wc.dead) / 500)
     mean = sum(fractions) / len(fractions)
     assert mean <= eps, mean
+
+
+# the five generator families, n <= 200
+small_graphs = st.one_of(
+    st.builds(lambda n: generate("path", n=n), st.integers(1, 200)),
+    st.builds(
+        lambda r, c: generate("grid", rows=r, cols=c), st.integers(1, 14), st.integers(1, 14)
+    ),
+    st.builds(
+        lambda n, s: generate("gnp", s, n=n, p=min(1.0, 3.0 / n)),
+        st.integers(1, 200),
+        st.integers(0, 999),
+    ),
+    st.builds(
+        lambda n, s: generate("regular_expander", s, n=n, deg=4),
+        st.integers(5, 200),
+        st.integers(0, 999),
+    ),
+    st.builds(
+        lambda b, k, s: generate("barrier", s, base_nodes=b, degree=3, subdivision_length=k),
+        st.sampled_from([4, 6, 10, 20]),
+        st.integers(1, 5),
+        st.integers(0, 999),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=small_graphs,
+    keep=st.one_of(st.none(), st.floats(0.3, 0.95)),
+    mask_seed=st.integers(0, 2**16),
+    eps=st.sampled_from([0.5, 0.1, 0.02]),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_linial_saks_trees_are_bfs_trees_from_their_roots(g, keep, mask_seed, eps, seed):
+    # every cluster's tree is the BFS tree from its root inside the mask,
+    # restricted to the paths up from its members, and depth is the largest
+    # member distance
+    if keep is None:
+        mask = NodeMask.full(g.n)
+    else:
+        mask = NodeMask(np.random.default_rng(mask_seed).random(g.n) < keep)
+    if mask.count() == 0:
+        return
+    wc, _ = linial_saks_black_box(g, mask, eps, seed)
+    alive = set(mask.node_ids().tolist())
+    for c in wc.clusters:
+        root = int(c.tree.root)
+        parent, dist = ref_bfs_tree(g, alive, root)
+        assert root not in c.tree.parent
+        for v, p in c.tree.parent.items():
+            assert parent[v] == p, (root, v)
+        assert c.depth == max(dist[m] for m in c.nodes.tolist())
