@@ -1,11 +1,12 @@
 """Command-line front end: generate, carve, decompose, verify.
 
 Exit codes: 0 ok, 1 I/O failure, 2 bad flags or parameters (argparse, a
-non-finite verify bound or eps, or a library ValueError such as a regular
-graph the configuration model cannot draw or an eps too small for the
-pipeline's growth windows), 3 verification found violations, 4 the graph
-file or clustering file is malformed (a NaN or infinite number included),
-5 an algorithm detected a broken guarantee (InvariantViolation).
+non-finite verify bound, a verify eps outside (0, 1), or a library
+ValueError such as a regular graph the configuration model cannot draw or an
+eps too small for the pipeline's growth windows), 3 verification found
+violations, 4 the graph file or clustering file is malformed (a NaN or
+infinite number, or an eps outside (0, 1), included), 5 an algorithm
+detected a broken guarantee (InvariantViolation).
 Carve and decompose always verify their own output, against the diameter
 bound their pipeline declares, before writing; an invalid result is never
 written. The cluster diameters they write are the ones the verifier measured.
@@ -159,6 +160,13 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _unit_eps(text: str) -> float:
+    x = _finite_float(text)
+    if not 0 < x < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1)")
+    return x
+
+
 class _ClusterView:
     def __init__(self, obj, n: int):
         _need(isinstance(obj, dict), f"cluster {obj!r:.40} is not an object")
@@ -189,6 +197,7 @@ class _ClusteringView:
         ok = self.d_bound is None or _is_finite(self.d_bound)
         _need(ok, "diameter_bound is not a finite number")
         _need(_is_finite(self.eps), "eps is not a finite number")
+        _need(0 < self.eps < 1, f"eps {self.eps} is not in (0, 1)")
 
 
 def _read_clustering(path: str, n: int) -> _ClusteringView:
@@ -261,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mode", required=True, choices=["decomposition", "carving"])
     ver.add_argument("--in", dest="infile", required=True)
     ver.add_argument("--clustering", required=True)
-    ver.add_argument("--eps", type=_finite_float, default=None)
+    ver.add_argument("--eps", type=_unit_eps, default=None)
     ver.add_argument("--c-bound", type=int, default=None)
     ver.add_argument("--d-bound", type=_finite_float, default=None)
     ver.set_defaults(func=_cmd_verify)

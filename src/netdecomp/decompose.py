@@ -117,7 +117,6 @@ def decompose(g: Graph, seed: int, carver) -> tuple[NetworkDecomposition, RoundL
     max_colors = color_bound(n)
     clusters: list[DecompCluster] = []
     ledger = RoundLedger()
-    remaining_trace = [n]
     diameter_bound = 0
     color = 0
     while remaining.count() > 0:
@@ -142,16 +141,11 @@ def decompose(g: Graph, seed: int, carver) -> tuple[NetworkDecomposition, RoundL
             )
         ledger.extend(sc.ledger)
         remaining = NodeMask.from_nodes(n, dead)
-        remaining_trace.append(len(dead))
     decomp = NetworkDecomposition(
         n=n,
         colors=color,
         clusters=clusters,
         diameter_bound=diameter_bound,
-        stats={
-            "rounds": ledger.total_rounds,
-            "remaining_trace": remaining_trace,
-            "seed": seed,
-        },
+        stats={"rounds": ledger.total_rounds},
     )
     return decomp, ledger

@@ -66,7 +66,6 @@ class CutOrClusterOutcome:
     r_star: int = 0
     a_final: int = 0
     params: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {"variant": self.variant, "params": self.params, "r_star": self.r_star}
@@ -191,7 +190,6 @@ def cut_or_cluster(
 
     seeds = order  # every alive node, in preorder
     iteration = 1
-    trace: list[dict] = []
     prev_a = 0
     while True:
         cum, touched = _census(adj, alive, seeds, scratch, 2 * n)
@@ -206,15 +204,6 @@ def cut_or_cluster(
         if a > prev_a + cut_threshold:
             raise InvariantViolation("coverage radius jumped past the cut threshold")
         prev_a = a
-        trace.append(
-            {
-                "iteration": iteration,
-                "seed": np.asarray(seeds, dtype=np.int64),
-                "size": len(seeds),
-                "a": a,
-                "b": b,
-            }
-        )
         if b - a >= cut_threshold:
             # thin layer exists among radii [a, b-2]
             r_star = min_ratio_layer(cum[a:b], lo=a)
@@ -224,27 +213,18 @@ def cut_or_cluster(
                     f"separator layer of {sep_size} nodes exceeds (rho-1)n"
                 )
             # touched is in BFS order: the first cum[r] nodes are the r-ball
-            v1 = sorted(touched[: cum[r_star]])
-            sep = sorted(touched[cum[r_star] : cum[r_star + 1]])
-            inside = set(v1) | set(sep)
-            v2 = sorted(int(v) for v in alive_ids if int(v) not in inside)
+            v1 = np.sort(np.asarray(touched[: cum[r_star]], dtype=np.int64))
+            sep = np.sort(np.asarray(touched[cum[r_star] : cum[r_star + 1]], dtype=np.int64))
+            v2 = _setdiff(alive_ids, np.concatenate((v1, sep)))
             if 3 * len(v1) < n or 3 * len(v2) < n:
                 raise InvariantViolation("cut sides are unbalanced")
             outcome = CutOrClusterOutcome(
-                variant="cut",
-                v1=np.asarray(v1, dtype=np.int64),
-                v2=np.asarray(v2, dtype=np.int64),
-                separator=np.asarray(sep, dtype=np.int64),
-                r_star=r_star,
-                a_final=a,
-                params=params,
-                trace=trace,
+                variant="cut", v1=v1, v2=v2, separator=sep, r_star=r_star, a_final=a, params=params
             )
             return outcome, ledger
         if len(seeds) == 1:
             break
-        seeds, a1, a2 = _halve(adj, alive, seeds, scratch, n, b)
-        trace[-1].update({"a1": a1, "a2": a2, "chosen": 1 if a1 < a2 else 2})
+        seeds = _halve(adj, alive, seeds, scratch, n, b)[0]
         iteration += 1
 
     # single-vertex seed: close off a ball within the growth window
@@ -269,7 +249,6 @@ def cut_or_cluster(
         r_star=r_star,
         a_final=a_f,
         params=params,
-        trace=trace,
     )
     return outcome, ledger
 
@@ -329,19 +308,17 @@ def refine(
             dead_black_box=np.zeros(0, dtype=np.int64),
             dead_boundary=np.zeros(0, dtype=np.int64),
             ledger=RoundLedger(),
-            meta={"eps": eps, "seed": seed, "levels": 0, "diameter_bound": 0},
+            meta={"eps": eps, "seed": seed, "diameter_bound": 0},
         )
     lmax = _levels_bound(n0)
     eps_carve = eps / (4 * lmax)
     clusters: list[StrongCluster] = []
     dead_bb: list[int] = []
     dead_bd: list[int] = []
-    stats = {"cuts": 0, "components": 0, "max_depth": 0}
 
     def process(part: np.ndarray, depth: int) -> RoundLedger:
         if depth > lmax:
             raise InvariantViolation(f"refinement recursion exceeded {lmax} levels")
-        stats["max_depth"] = max(stats["max_depth"], depth)
         part_mask = NodeMask.from_nodes(g.n, part)
         try:
             sc = strong_carver(g, part_mask, eps_carve, derive_seed(seed, depth, int(part[0])))
@@ -365,11 +342,9 @@ def refine(
             branch.extend(cc_led)
             children: list[np.ndarray] = []
             if outcome.variant == "cut":
-                stats["cuts"] += 1
                 dead_bd.extend(int(v) for v in outcome.separator)
                 children = [outcome.v1, outcome.v2]
             else:
-                stats["components"] += 1
                 clusters.append(
                     StrongCluster(nodes=outcome.component, center=int(outcome.center))
                 )
@@ -395,12 +370,5 @@ def refine(
         dead_black_box=np.asarray(sorted(dead_bb), dtype=np.int64),
         dead_boundary=np.asarray(sorted(dead_bd), dtype=np.int64),
         ledger=ledger,
-        meta={
-            "eps": eps,
-            "seed": seed,
-            "levels": lmax,
-            "eps_carve": eps_carve,
-            "diameter_bound": refined_diameter_bound(n0, eps),
-            **stats,
-        },
+        meta={"eps": eps, "seed": seed, "diameter_bound": refined_diameter_bound(n0, eps)},
     )

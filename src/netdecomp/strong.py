@@ -195,56 +195,38 @@ def carve_strong(
     dead_bb: list[int] = []
     dead_bd: list[int] = []
     ledgers = []
-    traces = []
     r_bb = 0
     k_max = 0
-    budget_ok = True
     for comp in comps:
-        out = _carve_component(g, comp, eps, seed, black_box)
-        clusters.extend(out["clusters"])
-        dead_bb.extend(out["dead_black_box"])
-        dead_bd.extend(out["dead_boundary"])
-        ledgers.append(out["ledger"])
-        traces.append(out["trace"])
-        r_bb = max(r_bb, out["max_black_box_depth"])
-        k_max = max(k_max, out["growth_cap"])
-        pools = (len(out["dead_black_box"]), len(out["dead_boundary"]))
-        budget_ok = budget_ok and max(pools) <= (eps / 2) * len(comp)
+        params = CarvingParams.for_entry(len(comp), eps)
+        led, depth = _carve_component(g, comp, params, seed, black_box, clusters, dead_bb, dead_bd)
+        ledgers.append(led)
+        r_bb = max(r_bb, depth)
+        k_max = max(k_max, params.growth_cap)
     ledger = merge_parallel(ledgers) if ledgers else RoundLedger()
     return StrongCarving(
         clusters=clusters,
         dead_black_box=np.asarray(sorted(dead_bb), dtype=np.int64),
         dead_boundary=np.asarray(sorted(dead_bd), dtype=np.int64),
         ledger=ledger,
-        meta={
-            "eps": eps,
-            "seed": seed,
-            "max_black_box_depth": r_bb,
-            "growth_cap": k_max,
-            "diameter_bound": 2 * r_bb + 2 * k_max,
-            "trace": traces,
-            "budget_split_ok": budget_ok,
-        },
+        meta={"eps": eps, "seed": seed, "diameter_bound": 2 * r_bb + 2 * k_max},
     )
 
 
-def _carve_component(g, comp, eps, seed, black_box):
+def _carve_component(g, comp, params, seed, black_box, clusters, dead_bb, dead_bd):
+    """Run the halving loop on one entry component, appending its clusters
+    and dead nodes to the caller's lists; returns (ledger, the deepest
+    Steiner tree the black box declared)."""
     n0 = len(comp)
-    params = CarvingParams.for_entry(n0, eps)
-    clusters: list[StrongCluster] = []
-    dead_bb: list[int] = []
-    dead_bd: list[int] = []
+    eps = params.eps
     total = RoundLedger()
-    trace = {"entry_n": n0, "iterations": [], "r_stars": [], "black_box_bounds": []}
     max_bb_depth = 0
 
     current: list[np.ndarray] = [comp]
     for i in range(1, params.i_max + 1):
         if not current:
             break
-        sizes = [len(s) for s in current]
-        trace["iterations"].append(sizes)
-        for s in sizes:
+        for s in map(len, current):
             # component shrinkage guarantee: size <= n0 / 2^(i-1), exactly
             if s * (1 << (i - 1)) > n0:
                 raise InvariantViolation(
@@ -266,7 +248,6 @@ def _carve_component(g, comp, eps, seed, black_box):
                 raise ValueError(f"eps={eps}: the black box rejects eps={eps_bb}: {e}") from e
             led.extend(bb_led)
             charge_steiner_aggregate(led, wc.declared_depth, wc.declared_congestion)
-            trace["black_box_bounds"].append((wc.declared_depth, wc.declared_congestion))
             max_bb_depth = max(max_bb_depth, wc.declared_depth)
 
             if not wc.clusters:
@@ -286,7 +267,6 @@ def _carve_component(g, comp, eps, seed, black_box):
                     g, s_mask, int(giant.tree.root), giant.depth, params.growth_cap, eps
                 )
                 charge_bfs(led, r_star + 1)
-                trace["r_stars"].append(r_star)
                 clusters.append(StrongCluster(nodes=ball, center=int(giant.tree.root)))
                 dead_bd.extend(int(v) for v in boundary)
                 gone = np.concatenate([ball, boundary])
@@ -305,12 +285,4 @@ def _carve_component(g, comp, eps, seed, black_box):
             )
         clusters.append(StrongCluster(nodes=s_nodes, center=int(s_nodes[0])))
 
-    return {
-        "clusters": clusters,
-        "dead_black_box": dead_bb,
-        "dead_boundary": dead_bd,
-        "ledger": total,
-        "trace": trace,
-        "max_black_box_depth": max_bb_depth,
-        "growth_cap": params.growth_cap,
-    }
+    return total, max_bb_depth

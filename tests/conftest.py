@@ -1,13 +1,17 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and spies.
 
 The oracles here deliberately avoid the library's traversal code: distances
 come from dense Floyd-Warshall, components from union-find, ball sizes from
 a dict-based BFS, G(n, p) from a scalar skip loop. Tests compare library
-outputs against these.
+outputs against these. The library reports no trace of its own: where a
+guarantee is about intermediate steps (the halving walk, the parts the
+black box is handed), a spy wrapped around a library function records the
+calls and an oracle here recomputes every one of them.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from collections import deque
 
@@ -262,23 +266,108 @@ def check_cut_or_cluster_outcome(g: Graph, alive_ids, outcome, exact_diameter=No
             assert exact_diameter <= 2 * (outcome.a_final + k_l)
 
 
-def check_halving_trace(g: Graph, alive_ids, outcome):
-    """Recompute every halving step from scratch; the recorded radii must
-    match and min(a1, a2) <= b must hold at each step."""
+def record_halvings(monkeypatch) -> list[dict]:
+    """Spy on cut_or_cluster's halving step: every `_halve` call appends its
+    seed set, n, b and what it returned (the chosen half, a1, a2), in call
+    order."""
+    # the package's `refine` function shadows the submodule of the same name
+    refine_mod = importlib.import_module("netdecomp.refine")
+    halve = refine_mod._halve
+    calls: list[dict] = []
+
+    def spy(adj, alive, seeds, scratch, n, b):
+        chosen, a1, a2 = halve(adj, alive, seeds, scratch, n, b)
+        calls.append({"seeds": [int(v) for v in seeds], "n": n, "b": b,
+                      "chosen": [int(v) for v in chosen], "a1": a1, "a2": a2})
+        return chosen, a1, a2
+
+    monkeypatch.setattr(refine_mod, "_halve", spy)
+    return calls
+
+
+def check_halvings(g: Graph, alive_ids, outcome, calls):
+    """Replay cut_or_cluster's whole halving walk from the independent
+    preorder. Each recorded call must halve the previous winner, with b the
+    2n/3-coverage radius; the winner is the half with the strictly smaller
+    n/3-coverage radius (ties go to the second half), and that radius is at
+    most b. The walk halves only while no cut is due, and the outcome's
+    a_final is the last seed set's n/3-coverage radius; a component's last
+    seed set is its center alone."""
     n = len(alive_ids)
     alive_set = set(int(v) for v in alive_ids)
-    order = ref_preorder(g, alive_set, min(alive_set))
-    pos = {v: i for i, v in enumerate(order)}
-    for step in outcome.trace:
-        seed_nodes = [int(v) for v in step["seed"]]
-        a = ref_coverage_radius(g, alive_set, seed_nodes, n / 3)
-        b = ref_coverage_radius(g, alive_set, seed_nodes, 2 * n / 3)
-        assert a == step["a"] and b == step["b"], (step, a, b)
-        if "chosen" in step:
-            s_sorted = sorted(seed_nodes, key=pos.__getitem__)
-            half = (len(s_sorted) + 1) // 2
-            a1 = ref_coverage_radius(g, alive_set, s_sorted[:half], n / 3)
-            a2 = ref_coverage_radius(g, alive_set, s_sorted[half:], n / 3)
-            assert a1 == step["a1"] and a2 == step["a2"]
-            assert min(a1, a2) <= b
-            assert step["chosen"] == (1 if a1 < a2 else 2)
+    seeds = ref_preorder(g, alive_set, min(alive_set))
+    cut_threshold = outcome.params.get("cut_threshold")
+    for call in calls:
+        assert call["seeds"] == seeds and call["n"] == n
+        a = ref_coverage_radius(g, alive_set, seeds, n / 3)
+        b = ref_coverage_radius(g, alive_set, seeds, 2 * n / 3)
+        assert call["b"] == b, (call["b"], b)
+        assert b - a < cut_threshold
+        half = (len(seeds) + 1) // 2
+        s1, s2 = seeds[:half], seeds[half:]
+        a1 = ref_coverage_radius(g, alive_set, s1, n / 3)
+        a2 = ref_coverage_radius(g, alive_set, s2, n / 3)
+        assert (call["a1"], call["a2"]) == (a1, a2)
+        seeds = s1 if a1 < a2 else s2
+        assert call["chosen"] == seeds
+        assert min(a1, a2) <= b
+    a = ref_coverage_radius(g, alive_set, seeds, n / 3)
+    assert outcome.a_final == a
+    if outcome.variant == "cut":
+        assert ref_coverage_radius(g, alive_set, seeds, 2 * n / 3) - a >= cut_threshold
+    else:
+        assert seeds == [outcome.center]
+
+
+# ----------------------------------------------------------------------------
+# weak-to-strong oracles
+# ----------------------------------------------------------------------------
+
+
+class BlackBoxSpy:
+    """A weak-carving black box that records each call's part (the alive
+    node ids it was handed) and the WeakCarving it returned."""
+
+    def __init__(self, black_box):
+        self.black_box = black_box
+        self.parts: list[np.ndarray] = []
+        self.carvings: list = []
+
+    def __call__(self, g, mask, eps, seed):
+        wc, led = self.black_box(g, mask, eps, seed)
+        self.parts.append(mask.node_ids().copy())
+        self.carvings.append(wc)
+        return wc, led
+
+    @property
+    def max_depth(self) -> int:
+        return max((wc.declared_depth for wc in self.carvings), default=0)
+
+
+def check_shrinkage(g: Graph, mask: NodeMask, parts) -> int:
+    """Every part the black box saw at iteration i of its entry component's
+    halving loop has at most n0 / 2^(i-1) nodes. A part's iteration is 1 plus
+    the number of earlier parts containing it. Returns the parts checked."""
+    comp_of = {}
+    for comp in uf_components(g, mask):
+        for v in comp:
+            comp_of[v] = comp
+    seen: list[frozenset] = []
+    for part in parts:
+        p = frozenset(int(v) for v in part)
+        n0 = len(comp_of[min(p)])
+        assert p <= comp_of[min(p)], "a part spans two entry components"
+        i = 1 + sum(1 for q in seen if p <= q)
+        assert len(p) * (1 << (i - 1)) <= n0, (n0, i, len(p))
+        seen.append(p)
+    return len(seen)
+
+
+def pools_within_half_eps(g: Graph, mask: NodeMask, sc, eps: float) -> bool:
+    """Both dead pools hold at most eps/2 of every entry component."""
+    bb = set(int(v) for v in sc.dead_black_box)
+    bd = set(int(v) for v in sc.dead_boundary)
+    return all(
+        max(len(comp & bb), len(comp & bd)) <= (eps / 2) * len(comp)
+        for comp in uf_components(g, mask)
+    )

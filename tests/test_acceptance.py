@@ -2,7 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Everything here goes through public interfaces and the independent
-oracles in conftest; nothing reaches into algorithm internals.
+oracles in conftest. The one internal it touches is cut_or_cluster's
+private halving step, which a conftest spy wraps so that criterion 4 can
+replay every halving.
 """
 
 import math
@@ -40,9 +42,13 @@ from netdecomp.dense_check import (
 )
 
 from conftest import (
+    BlackBoxSpy,
     check_cut_or_cluster_outcome,
-    check_halving_trace,
+    check_halvings,
+    check_shrinkage,
     fuzz_graph,
+    pools_within_half_eps,
+    record_halvings,
     ref_ball_sizes,
 )
 
@@ -112,19 +118,22 @@ def test_criterion_1_validity_suite():
 
 
 def _budget_suite_runs():
-    """Shared carve_strong runs for criteria 2 and 3."""
+    """Shared carve_strong runs for criteria 2 and 3: (graph, eps, carving,
+    the parts the black box was handed)."""
     rng = np.random.default_rng(MASTER + 1)
-    runs = []
+    cases = []
     for trial in range(50):
         g = fuzz_graph(rng, max_n=250)
         eps = float(rng.uniform(0.15, 0.85))
         bb = linial_saks_black_box if trial % 3 else trivial_black_box
-        sc = carve_strong(g, NodeMask.full(g.n), eps, trial, bb)
-        runs.append((g, eps, sc))
+        cases.append((g, eps, trial, bb))
     for n in (64, 256, 1024):
-        g = generate("path", n=n)
-        sc = carve_strong(g, NodeMask.full(n), 0.5, 7, linial_saks_black_box)
-        runs.append((g, 0.5, sc))
+        cases.append((generate("path", n=n), 0.5, 7, linial_saks_black_box))
+    runs = []
+    for g, eps, seed, bb in cases:
+        spy = BlackBoxSpy(bb)
+        sc = carve_strong(g, NodeMask.full(g.n), eps, seed, spy)
+        runs.append((g, eps, sc, spy.parts))
     return runs
 
 
@@ -134,33 +143,29 @@ def budget_runs():
 
 
 def test_criterion_2_budget_split(budget_runs):
-    for g, eps, sc in budget_runs:
+    for g, eps, sc, _ in budget_runs:
         n = g.n
         bb, bd = sc.dead_black_box, sc.dead_boundary
         assert len(bb) <= (eps / 2) * n, (n, eps, len(bb))
         assert len(bd) <= (eps / 2) * n, (n, eps, len(bd))
         assert not set(bb.tolist()) & set(bd.tolist())
         assert len(bb) + len(bd) == len(sc.dead)
-        assert sc.meta["budget_split_ok"]
+        assert pools_within_half_eps(g, NodeMask.full(n), sc, eps)
     print(f"\nPASS criterion-2: dead-node budget split held on "
           f"{len(budget_runs)}/{len(budget_runs)} carve_strong runs")
 
 
 def test_criterion_3_component_shrinkage(budget_runs):
     checked = 0
-    for g, eps, sc in budget_runs:
-        for comp_trace in sc.meta["trace"]:
-            n0 = comp_trace["entry_n"]
-            for i, sizes in enumerate(comp_trace["iterations"], start=1):
-                for s in sizes:
-                    assert s * (1 << (i - 1)) <= n0, (n0, i, s)
-                    checked += 1
+    for g, eps, sc, parts in budget_runs:
+        checked += check_shrinkage(g, NodeMask.full(g.n), parts)
     assert checked > 0
-    print(f"\nPASS criterion-3: component size <= n/2^(i-1) at every of "
-          f"{checked} (component, iteration) trace points")
+    print(f"\nPASS criterion-3: part size <= n/2^(i-1) at every of "
+          f"{checked} black-box calls")
 
 
-def test_criterion_4_dichotomy():
+def test_criterion_4_dichotomy(monkeypatch):
+    calls = record_halvings(monkeypatch)
     rng = np.random.default_rng(MASTER + 2)
     cases = []
     for _ in range(100):
@@ -178,6 +183,7 @@ def test_criterion_4_dichotomy():
     cuts = comps = 0
     for g, eps in cases:
         mask = NodeMask.full(g.n)
+        calls.clear()
         out, led = cut_or_cluster(g, mask, eps)
         exact = None
         if out.variant == "component":
@@ -186,10 +192,10 @@ def test_criterion_4_dichotomy():
         else:
             cuts += 1
         check_cut_or_cluster_outcome(g, mask.node_ids(), out, exact_diameter=exact)
-        check_halving_trace(g, mask.node_ids(), out)
+        check_halvings(g, mask.node_ids(), out, calls)
         if g.n <= 400:
             true_d = induced_diameter(g, range(g.n)).value
-            halvings = sum(1 for s in out.trace if "chosen" in s)
+            halvings = len(calls)
             assert led.total_rounds <= 3 * true_d * (halvings + 1) + true_d
     print(f"\nPASS criterion-4: {len(cases)} dichotomy outcomes verified "
           f"({cuts} cuts, {comps} components), halving oracle never failed")

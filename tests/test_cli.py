@@ -296,6 +296,29 @@ def test_non_finite_eps_in_carving_file_exit_4(tmp_path, capsys):
     assert "eps is not a finite number" in capsys.readouterr().err
 
 
+# all 6 nodes of a 6-node path dead: over budget for every eps in (0, 1);
+# the eps token is filled in
+_PATH6_ALL_DEAD = (
+    '{"eps": %s, "clusters": [], "dead": ['
+    + ", ".join(f'{{"node": {v}}}' for v in range(6))
+    + "]}"
+)
+
+
+def test_eps_outside_unit_interval_in_carving_file_exit_4(tmp_path, capsys):
+    assert _verify_clustering(tmp_path, _PATH6_ALL_DEAD % "0.5", mode="carving", n=6) == 3
+    capsys.readouterr()
+    assert _verify_clustering(tmp_path, _PATH6_ALL_DEAD % "5", mode="carving", n=6) == 4
+    err = capsys.readouterr().err
+    assert "malformed clustering file" in err and "eps 5 is not in (0, 1)" in err
+
+
+def test_verify_eps_flag_outside_unit_interval_exit_2(tmp_path, capsys):
+    flags = ["--eps", "7"]
+    assert _verify_clustering(tmp_path, _PATH6_ALL_DEAD % "0.5", "carving", 6, flags) == 2
+    assert "'7' is not in (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--d-bound", "--eps"])
 def test_non_finite_verify_flag_exit_2(tmp_path, capsys, flag, value):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,15 +6,19 @@ import numpy as np
 import pytest
 
 from netdecomp import (
+    CutOrClusterOutcome,
     InvariantViolation,
+    NodeMask,
     RoundLedger,
     StrongCarving,
     StrongCluster,
+    carve_strong,
     complete_graph,
     decompose,
     generate,
     make_refined_carver,
     make_strong_carver,
+    refine,
     refined_diameter_bound,
     trivial_black_box,
     linial_saks_black_box,
@@ -59,7 +64,9 @@ def test_remaining_counts_halve():
     for trial in range(6):
         g = fuzz_graph(rng, max_n=300)
         d, _ = decompose(g, trial, make_refined_carver(linial_saks_black_box))
-        trace = d.stats["remaining_trace"]
+        # nodes left before each color: n less everything colored earlier
+        per_color = np.bincount(d.assignment()[1], minlength=d.colors + 1)[1:]
+        trace = [g.n, *(g.n - np.cumsum(per_color)).tolist()]
         for before, after in zip(trace, trace[1:]):
             assert after <= before / 2
         assert d.colors <= _bounds(g.n)[0]
@@ -105,6 +112,23 @@ def test_decomposition_json_schema():
         assert set(c) == {"id", "color", "nodes"}
     assert obj["stats"]["rounds"] == led.total_rounds
     assert obj["stats"]["n"] == 50
+
+
+def test_outputs_carry_no_self_report():
+    # each stage returns what a caller reads; the guarantees about its
+    # intermediate steps are for the tests to re-derive, not for it to grade
+    g = generate("gnp", 4, n=50, p=0.1)
+    empty = NodeMask.full(50).without(range(50))
+    carvers = {
+        "strong": lambda m: carve_strong(g, m, 0.5, 4, linial_saks_black_box),
+        "refine": lambda m: refine(g, m, 0.5, 4, make_strong_carver(linial_saks_black_box)),
+    }
+    for name, carve in carvers.items():
+        for mask in (NodeMask.full(50), empty):
+            assert set(carve(mask).meta) == {"eps", "seed", "diameter_bound"}, name
+    d, led = decompose(g, 4, make_refined_carver(linial_saks_black_box))
+    assert d.stats == {"rounds": led.total_rounds}
+    assert "trace" not in {f.name for f in dataclasses.fields(CutOrClusterOutcome)}
 
 
 def test_disconnected_graph_components_handled():

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import math
 import weakref
 from fractions import Fraction
 
@@ -25,8 +26,9 @@ from netdecomp.refine import _halve
 
 from conftest import (
     check_cut_or_cluster_outcome,
-    check_halving_trace,
+    check_halvings,
     fuzz_graph,
+    record_halvings,
 )
 
 # the package's `refine` function shadows the submodule of the same name
@@ -184,31 +186,33 @@ def test_connectivity_is_read_off_the_preorder(monkeypatch):
         cut_or_cluster(g, mask.without([10]), 0.5)
 
 
-def test_long_path_yields_single_layer_cut():
+def test_long_path_yields_single_layer_cut(monkeypatch):
+    calls = record_halvings(monkeypatch)
     g = generate("path", n=4096)
     mask = NodeMask.full(4096)
     out, led = cut_or_cluster(g, mask, 0.5)
     assert out.variant == "cut"
     assert len(out.separator) <= 2
     check_cut_or_cluster_outcome(g, mask.node_ids(), out)
-    check_halving_trace(g, mask.node_ids(), out)
+    check_halvings(g, mask.node_ids(), out, calls)
     # ledger within (3D)(H+1) + D for the true diameter D = n-1
-    halvings = sum(1 for s in out.trace if "chosen" in s)
-    assert led.total_rounds <= 3 * 4095 * (halvings + 1) + 4095
+    assert led.total_rounds <= 3 * 4095 * (len(calls) + 1) + 4095
 
 
-def test_fuzz_outcomes_verified_with_trace_oracle():
+def test_fuzz_outcomes_verified_with_trace_oracle(monkeypatch):
+    calls = record_halvings(monkeypatch)
     rng = np.random.default_rng(404)
     for trial in range(30):
         g = fuzz_graph(rng, max_n=120, connected=True)
         mask = NodeMask.full(g.n)
         eps = float(rng.uniform(0.15, 0.9))
+        calls.clear()
         out, _ = cut_or_cluster(g, mask, eps)
         exact = None
         if out.variant == "component":
             exact = induced_diameter(g, out.component).value
         check_cut_or_cluster_outcome(g, mask.node_ids(), out, exact_diameter=exact)
-        check_halving_trace(g, mask.node_ids(), out)
+        check_halvings(g, mask.node_ids(), out, calls)
 
 
 def test_outcome_json_shape():
@@ -238,16 +242,42 @@ def test_refine_complete_graph_one_cluster_no_dead():
     assert induced_diameter(g, sc.clusters[0].nodes).value == 1
 
 
+def _spied_strong_carver():
+    """The strong carver, plus the list of parts refine hands it."""
+    carver = make_strong_carver(linial_saks_black_box)
+    parts: list[frozenset] = []
+
+    def spy(g, mask, eps, seed):
+        parts.append(frozenset(mask.node_ids().tolist()))
+        return carver(g, mask, eps, seed)
+
+    return spy, parts
+
+
+def _recursion_depth(parts) -> int:
+    """Deepest refine level: a part's level is 1 plus its strict ancestors."""
+    return max(1 + sum(1 for q in parts[:k] if p < q) for k, p in enumerate(parts))
+
+
 def test_refine_sparse_gnp_passes_verifier_with_refined_bound():
     # moderately large sparse instance; both bounds hold individually
     g = generate("gnp", 3, n=2000, p=0.003)
     mask = NodeMask.full(g.n)
-    sc = refine(g, mask, 0.5, 3, make_strong_carver(linial_saks_black_box))
+    carver, parts = _spied_strong_carver()
+    sc = refine(g, mask, 0.5, 3, carver)
     bound = sc.meta["diameter_bound"]
     assert bound == refined_diameter_bound(2000, 0.5)
     violations = verify_strong_carving(g, mask, sc, 0.5, bound)
     assert not violations, [v.to_json() for v in violations]
-    assert sc.meta["max_depth"] <= sc.meta["levels"]
+    assert _recursion_depth(parts) <= math.ceil(math.log(2000) / math.log(1.5))
+
+
+def test_refine_path_recursion_within_levels_bound():
+    # the gnp instance above is settled at the first level; a long path recurses
+    g = generate("path", n=2000)
+    carver, parts = _spied_strong_carver()
+    refine(g, NodeMask.full(g.n), 0.5, 3, carver)
+    assert 1 < _recursion_depth(parts) <= math.ceil(math.log(2000) / math.log(1.5))
 
 
 def test_refine_dead_budget_split_under_half_eps():

@@ -1,9 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import netdecomp.strong as strong_mod
 from netdecomp import (
     CarvingParams,
     InvariantViolation,
@@ -23,7 +25,13 @@ from netdecomp import (
     verify_strong_carving,
 )
 
-from conftest import fuzz_graph, ref_ball_sizes
+from conftest import (
+    BlackBoxSpy,
+    check_shrinkage,
+    fuzz_graph,
+    pools_within_half_eps,
+    ref_ball_sizes,
+)
 
 
 def test_params_materialized_from_n_and_eps():
@@ -184,13 +192,14 @@ def test_complete_k8_saturates_in_one_ball():
 def test_p64_linial_saks_passes_verifier_with_metadata_bound():
     g = generate("path", n=64)
     mask = NodeMask.full(64)
-    sc = carve_strong(g, mask, 0.5, 7, linial_saks_black_box)
+    spy = BlackBoxSpy(linial_saks_black_box)
+    sc = carve_strong(g, mask, 0.5, 7, spy)
     assert len(sc.dead) <= 32
-    bound = 2 * sc.meta["max_black_box_depth"] + 2 * sc.meta["growth_cap"]
+    bound = 2 * spy.max_depth + 2 * CarvingParams.for_entry(64, 0.5).growth_cap
     assert bound == sc.meta["diameter_bound"]
     violations = verify_strong_carving(g, mask, sc, 0.5, bound)
     assert not violations, [v.to_json() for v in violations]
-    assert sc.meta["budget_split_ok"]
+    assert pools_within_half_eps(g, mask, sc, 0.5)
 
 
 def test_budget_split_tagged_and_within_eps_half():
@@ -200,7 +209,7 @@ def test_budget_split_tagged_and_within_eps_half():
         mask = NodeMask.full(g.n)
         eps = float(rng.uniform(0.2, 0.8))
         sc = carve_strong(g, mask, eps, trial, linial_saks_black_box)
-        assert sc.meta["budget_split_ok"]
+        assert pools_within_half_eps(g, mask, sc, eps)
         # tags are exact: the two pools are disjoint and within eps/2 each,
         # per entry component, hence globally
         assert len(sc.dead_black_box) <= (eps / 2) * g.n
@@ -214,12 +223,10 @@ def test_component_shrinkage_trace():
     rng = np.random.default_rng(11)
     for trial in range(8):
         g = fuzz_graph(rng, max_n=150, connected=True)
-        sc = carve_strong(g, NodeMask.full(g.n), 0.5, trial, linial_saks_black_box)
-        for comp_trace in sc.meta["trace"]:
-            n0 = comp_trace["entry_n"]
-            for i, sizes in enumerate(comp_trace["iterations"], start=1):
-                for s in sizes:
-                    assert s * (1 << (i - 1)) <= n0
+        mask = NodeMask.full(g.n)
+        spy = BlackBoxSpy(linial_saks_black_box)
+        carve_strong(g, mask, 0.5, trial, spy)
+        check_shrinkage(g, mask, spy.parts)
 
 
 def test_determinism_identical_output_and_ledger():
@@ -313,10 +320,11 @@ def test_everything_dead_black_box_fails_soft():
         )
 
     g = generate("path", n=16)
-    sc = carve_strong(g, NodeMask.full(16), 0.5, 0, killer)
+    mask = NodeMask.full(16)
+    sc = carve_strong(g, mask, 0.5, 0, killer)
     assert len(sc.clusters) == 0
     assert len(sc.dead_black_box) == 16
-    assert not sc.meta["budget_split_ok"]
+    assert not pools_within_half_eps(g, mask, sc, 0.5)
 
 
 def test_eps_validation():
@@ -326,39 +334,49 @@ def test_eps_validation():
 
 
 # ----------------------------------------------------------------------------
-# charge-rule recomputation (ledger entries against logged run metadata)
+# charge-rule recomputation (ledger entries against the spied calls)
 # ----------------------------------------------------------------------------
 
 
-def test_bfs_charges_equal_logged_r_star_plus_one():
-    # the merged ledger keeps the critical-path component per iteration, so
-    # its bfs entries are a sub-multiset of {r*+1} over the logged radii
-    from collections import Counter
+def _record_r_stars(monkeypatch) -> list[int]:
+    """Spy on carve_strong's ball growth: the r* of every grow_ball call."""
+    grow = strong_mod.grow_ball
+    r_stars: list[int] = []
 
+    def spy(*args):
+        out = grow(*args)
+        r_stars.append(out[0])
+        return out
+
+    monkeypatch.setattr(strong_mod, "grow_ball", spy)
+    return r_stars
+
+
+def test_bfs_charges_equal_logged_r_star_plus_one(monkeypatch):
+    # the merged ledger keeps the critical-path component per iteration, so
+    # its bfs entries are a sub-multiset of {r*+1} over the grown balls
+    r_stars = _record_r_stars(monkeypatch)
     g = generate("path", n=512)
     sc = carve_strong(g, NodeMask.full(512), 0.5, 7, linial_saks_black_box)
-    (trace,) = sc.meta["trace"]
     bfs_entries = Counter(r for label, r in sc.ledger.breakdown if label == "bfs")
-    logged = Counter(r + 1 for r in trace["r_stars"])
+    logged = Counter(r + 1 for r in r_stars)
     assert sum(bfs_entries.values()) > 0
     assert bfs_entries == bfs_entries & logged
     # on a single-iteration run the correspondence is exact
+    r_stars.clear()
     k8 = complete_graph(8)
     sck = carve_strong(k8, NodeMask.full(8), 0.5, 0, trivial_black_box)
-    (tracek,) = sck.meta["trace"]
-    assert [r for l, r in sck.ledger.breakdown if l == "bfs"] == [
-        r + 1 for r in tracek["r_stars"]
+    assert r_stars and [r for l, r in sck.ledger.breakdown if l == "bfs"] == [
+        r + 1 for r in r_stars
     ]
 
 
 def test_steiner_aggregate_charges_equal_declared_product():
-    from collections import Counter
-
     g = generate("path", n=512)
-    sc = carve_strong(g, NodeMask.full(512), 0.5, 7, linial_saks_black_box)
-    (trace,) = sc.meta["trace"]
+    spy = BlackBoxSpy(linial_saks_black_box)
+    sc = carve_strong(g, NodeMask.full(512), 0.5, 7, spy)
     agg = Counter(r for label, r in sc.ledger.breakdown if label == "steiner-aggregate")
-    logged = Counter(d * c for d, c in trace["black_box_bounds"])
+    logged = Counter(wc.declared_depth * wc.declared_congestion for wc in spy.carvings)
     assert sum(agg.values()) > 0
     assert agg == agg & logged
 
