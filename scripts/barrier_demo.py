@@ -47,12 +47,12 @@ def main() -> int:
 
     out, ledger = cut_or_cluster(g, NodeMask.full(g.n), args.eps)
     if out.variant == "cut":
-        print(f"cut_or_cluster: cut with sides {len(out.v1)}/{len(out.v2)}, "
-              f"separator {len(out.separator)}")
+        print(f"cut_or_cluster: cut with sides {len(out.inner)}/{len(out.outer)}, "
+              f"separator {len(out.layer)}")
     else:
-        print(f"cut_or_cluster: component of {len(out.component)} nodes, "
-              f"diameter {induced_diameter(g, out.component).value}, "
-              f"halo {len(out.halo)}")
+        print(f"cut_or_cluster: component of {len(out.inner)} nodes, "
+              f"diameter {induced_diameter(g, out.inner).value}, "
+              f"halo {len(out.layer)}")
     print(f"rounds charged: {ledger.total_rounds}")
     return 0
 

@@ -122,8 +122,11 @@ def graph_from_edges(n: int, edges) -> Graph:
         i = int(np.argmax(dup))
         a, b = sorted((int(src[i]), int(dst[i])))
         raise ValueError(f"duplicate edge {(a, b)}")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    try:
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    except MemoryError:
+        raise ValueError(f"node count n={n} is too large to allocate") from None
     return Graph(n=n, indptr=indptr, indices=dst)
 
 
@@ -288,6 +291,15 @@ def _bfs_layers(
         cum.append(len(touched))
         frontier = nxt
     return cum, touched
+
+
+def _split_at(touched: list[int], cum: list[int], r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r-ball and the layer just beyond it, as sorted int64 ids, read off
+    a `_bfs_layers` result: touched is in BFS order, so its first cum[r]
+    nodes are the r-ball and the next cum[r+1] - cum[r] are layer r + 1."""
+    ball = np.sort(np.asarray(touched[: cum[r]], dtype=np.int64))
+    layer = np.sort(np.asarray(touched[cum[r] : cum[r + 1]], dtype=np.int64))
+    return ball, layer
 
 
 def _window(num: float, den: float, eps: float) -> int:
@@ -705,17 +717,23 @@ def to_text(g: Graph) -> str:
     return f"{g.n} {g.m}\n" + ("%d %d\n" * len(e)) % tuple(e.ravel().tolist())
 
 
+def _int_rows(text: str) -> np.ndarray:
+    """The int64 rows of whitespace-separated tokens, one row per line. Every
+    token must be a plain ASCII decimal integer (no `_`, no other script's
+    digits) that fits int64; a bad token or a ragged line raises ValueError."""
+    return np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
+
+
 def from_text(text: str) -> Graph:
     head, _, body = text.lstrip().partition("\n")
     if not head:
         raise ValueError("empty graph text")
-    head = head.split()
-    if len(head) != 2:
+    head = _int_rows(head)
+    if head.shape != (1, 2):
         raise ValueError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = int(head[0, 0]), int(head[0, 1])
     if body.strip():
-        # rejects ragged lines and non-integer tokens with ValueError
-        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+        edges = _int_rows(body)
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
     if len(edges) != m:

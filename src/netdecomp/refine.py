@@ -26,17 +26,18 @@ depth is bounded and the per-level removal budgets telescope below eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _preorder, _setdiff, _window
+from .graph import _split_at
 # Never called here; kept because perfbench/spans.py wraps this name by path.
 from .graph import connected_components  # noqa: F401
 from .ledger import RoundLedger, charge_bfs, merge_parallel
 from .seeding import derive_seed
-from .strong import StrongCarving, StrongCluster
+from .strong import StrongCarving, StrongCluster, _pool
 
 __all__ = [
     "CutOrClusterOutcome",
@@ -56,28 +57,20 @@ LAYER_BUDGET_CONSTANT = 8
 
 @dataclass
 class CutOrClusterOutcome:
-    variant: str  # "cut" | "component"
-    v1: np.ndarray | None = None
-    v2: np.ndarray | None = None
-    separator: np.ndarray | None = None
-    component: np.ndarray | None = None
-    halo: np.ndarray | None = None
-    center: int | None = None
-    r_star: int = 0
-    a_final: int = 0
-    params: dict = field(default_factory=dict)
+    """The alive set split as inner | thin layer | outer: three disjoint
+    sorted int64 id arrays covering it, with no edge from inner to outer.
 
-    def to_json(self) -> dict:
-        out = {"variant": self.variant, "params": self.params, "r_star": self.r_star}
-        if self.variant == "cut":
-            out["v1"] = [int(v) for v in self.v1]
-            out["v2"] = [int(v) for v in self.v2]
-            out["separator"] = [int(v) for v in self.separator]
-        else:
-            out["component"] = [int(v) for v in self.component]
-            out["halo"] = [int(v) for v in self.halo]
-            out["center"] = self.center
-        return out
+    A cut has the two balanced sides as inner and outer, the separator as
+    layer, and no center. A component has the ball around `center` as inner,
+    its halo as layer, and the rest of the alive set (possibly empty) as
+    outer.
+    """
+
+    variant: str  # "cut" | "component"
+    inner: np.ndarray
+    layer: np.ndarray
+    outer: np.ndarray
+    center: int | None
 
 
 def min_ratio_layer(sizes, lo: int = 0) -> int:
@@ -143,34 +136,26 @@ def cut_or_cluster(
 
     The alive subgraph must be connected. Separator/halo sizes are at most
     (rho - 1) * n with rho = 1 + eps/(c_L * ln n); a returned component
-    has >= n/3 nodes and diameter at most 2*(a_final + k_l). The ledger
-    charges 3*ecc(v*) per halving iteration (tree build, converge-cast,
-    broadcast on the canonical BFS tree) plus the final growth BFS, which
-    keeps the total within (3D)(H+1) + D for the true diameter D.
+    has >= n/3 nodes within radius a + k_l of its center, a being the
+    center's n/3-coverage radius, so its diameter is at most 2*(a + k_l).
+    The ledger charges 3*ecc(v*) per halving iteration (tree build,
+    converge-cast, broadcast on the canonical BFS tree) plus the final
+    growth BFS, which keeps the total within (3D)(H+1) + D for the true
+    diameter D.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     n = mask.count()
     if n == 0:
         raise ValueError("empty alive set")
-    alive_ids = mask.node_ids()
+    ids = mask.node_ids()
+    vstar = int(ids[0])
     ledger = RoundLedger()
-    if n == 1:
-        v = int(alive_ids[0])
-        outcome = CutOrClusterOutcome(
-            variant="component",
-            component=np.asarray([v], dtype=np.int64),
-            halo=np.zeros(0, dtype=np.int64),
-            center=v,
-            r_star=0,
-            a_final=0,
-            params={"n": 1, "eps": eps},
-        )
-        return outcome, ledger
+    if n == 1:  # the general path would charge a zero-round BFS
+        return CutOrClusterOutcome("component", ids, ids[:0], ids[:0], vstar), ledger
     alive = mask.as_bytes()
     adj = g.adj
     scratch = g.scratch
-    vstar = int(alive_ids[0])
     order, ecc = _preorder(adj, alive, vstar, scratch)
     if len(order) != n:
         raise ValueError("cut_or_cluster requires a connected alive subgraph")
@@ -179,18 +164,11 @@ def cut_or_cluster(
     rho = 1.0 + eps / (LAYER_BUDGET_CONSTANT * ln_n)
     cut_threshold = _window(math.log(2) * LAYER_BUDGET_CONSTANT * ln_n, eps, eps) + 2
     k_l = _window(math.log(3), math.log(rho), eps) + 1
-    params = {
-        "n": n,
-        "eps": eps,
-        "c_layer": LAYER_BUDGET_CONSTANT,
-        "rho": rho,
-        "cut_threshold": cut_threshold,
-        "k_l": k_l,
-    }
 
     seeds = order  # every alive node, in preorder
     iteration = 1
     prev_a = 0
+    center = None
     while True:
         cum, touched = _census(adj, alive, seeds, scratch, 2 * n)
         a = _coverage_radius(cum, n)
@@ -207,50 +185,27 @@ def cut_or_cluster(
         if b - a >= cut_threshold:
             # thin layer exists among radii [a, b-2]
             r_star = min_ratio_layer(cum[a:b], lo=a)
-            sep_size = cum[r_star + 1] - cum[r_star]
-            if sep_size > (rho - 1) * n:
-                raise InvariantViolation(
-                    f"separator layer of {sep_size} nodes exceeds (rho-1)n"
-                )
-            # touched is in BFS order: the first cum[r] nodes are the r-ball
-            v1 = np.sort(np.asarray(touched[: cum[r_star]], dtype=np.int64))
-            sep = np.sort(np.asarray(touched[cum[r_star] : cum[r_star + 1]], dtype=np.int64))
-            v2 = _setdiff(alive_ids, np.concatenate((v1, sep)))
-            if 3 * len(v1) < n or 3 * len(v2) < n:
-                raise InvariantViolation("cut sides are unbalanced")
-            outcome = CutOrClusterOutcome(
-                variant="cut", v1=v1, v2=v2, separator=sep, r_star=r_star, a_final=a, params=params
-            )
-            return outcome, ledger
+            break
         if len(seeds) == 1:
+            # single-vertex seed: close off a ball within the growth window
+            center = seeds[0]
+            cum, touched = _bfs_layers(adj, alive, [center], scratch, r_max=a + k_l + 1)
+            charge_bfs(ledger, len(cum) - 1)
+            _pad_saturated(cum, a, a + k_l + 1)
+            r_star = min_ratio_layer(cum[a:], lo=a)
             break
         seeds = _halve(adj, alive, seeds, scratch, n, b)[0]
         iteration += 1
 
-    # single-vertex seed: close off a ball within the growth window
-    v = seeds[0]
-    a_f = a
-    cum, touched = _bfs_layers(adj, alive, [v], scratch, r_max=a_f + k_l + 1)
-    charge_bfs(ledger, len(cum) - 1)
-    _pad_saturated(cum, a_f, a_f + k_l + 1)
-    r_star = min_ratio_layer(cum[a_f:], lo=a_f)
-    halo_size = cum[r_star + 1] - cum[r_star]
-    if halo_size > (rho - 1) * n:
-        raise InvariantViolation(f"halo layer of {halo_size} nodes exceeds (rho-1)n")
-    comp = sorted(touched[: cum[r_star]])
-    halo = sorted(touched[cum[r_star] : cum[r_star + 1]])
-    if 3 * len(comp) < n:
-        raise InvariantViolation("component smaller than n/3")
-    outcome = CutOrClusterOutcome(
-        variant="component",
-        component=np.asarray(comp, dtype=np.int64),
-        halo=np.asarray(halo, dtype=np.int64),
-        center=v,
-        r_star=r_star,
-        a_final=a_f,
-        params=params,
-    )
-    return outcome, ledger
+    layer_size = cum[r_star + 1] - cum[r_star]
+    if layer_size > (rho - 1) * n:
+        raise InvariantViolation(f"thin layer of {layer_size} nodes exceeds (rho-1)n")
+    inner, layer = _split_at(touched, cum, r_star)
+    outer = _setdiff(ids, np.concatenate((inner, layer)))
+    if 3 * len(inner) < n or (center is None and 3 * len(outer) < n):
+        raise InvariantViolation("the inner side, or a cut's outer side, holds under n/3 nodes")
+    variant = "component" if center is not None else "cut"
+    return CutOrClusterOutcome(variant, inner, layer, outer, center), ledger
 
 
 # ----------------------------------------------------------------------------
@@ -313,8 +268,8 @@ def refine(
     lmax = _levels_bound(n0)
     eps_carve = eps / (4 * lmax)
     clusters: list[StrongCluster] = []
-    dead_bb: list[int] = []
-    dead_bd: list[int] = []
+    dead_bb: list[np.ndarray] = []
+    dead_bd: list[np.ndarray] = []
 
     def process(part: np.ndarray, depth: int) -> RoundLedger:
         if depth > lmax:
@@ -326,8 +281,8 @@ def refine(
             raise ValueError(f"eps={eps}: the carver rejects eps/(4*LMAX)={eps_carve}: {e}") from e
         if len(sc.dead_black_box) + len(sc.dead_boundary) > eps_carve * len(part):
             raise InvariantViolation("carver exceeded its per-level dead budget")
-        dead_bb.extend(int(v) for v in sc.dead_black_box)
-        dead_bd.extend(int(v) for v in sc.dead_boundary)
+        dead_bb.append(sc.dead_black_box)
+        dead_bd.append(sc.dead_boundary)
         level_ledger = RoundLedger()
         level_ledger.extend(sc.ledger)
         branch_ledgers = []
@@ -340,18 +295,12 @@ def refine(
                 raise ValueError(f"eps={eps}: cut_or_cluster rejects eps={eps_cc}: {e}") from e
             branch = RoundLedger()
             branch.extend(cc_led)
-            children: list[np.ndarray] = []
+            dead_bd.append(outcome.layer)
             if outcome.variant == "cut":
-                dead_bd.extend(int(v) for v in outcome.separator)
-                children = [outcome.v1, outcome.v2]
+                children = [outcome.inner, outcome.outer]
             else:
-                clusters.append(
-                    StrongCluster(nodes=outcome.component, center=int(outcome.center))
-                )
-                dead_bd.extend(int(v) for v in outcome.halo)
-                rem = _setdiff(c_nodes, np.concatenate([outcome.component, outcome.halo]))
-                if rem.size:
-                    children = [rem]
+                clusters.append(StrongCluster(nodes=outcome.inner, center=outcome.center))
+                children = [outcome.outer] if outcome.outer.size else []
             if children:
                 branch.extend(merge_parallel([process(ch, depth + 1) for ch in children]))
             branch_ledgers.append(branch)
@@ -363,12 +312,13 @@ def refine(
     # `process` calls itself through its closure; emptying that cell breaks
     # the cycle, which would keep `g` alive until a full garbage collection
     del process
-    if len(dead_bb) + len(dead_bd) > eps * n0:
+    dead_black_box, dead_boundary = _pool(dead_bb), _pool(dead_bd)
+    if dead_black_box.size + dead_boundary.size > eps * n0:
         raise InvariantViolation("refinement exceeded the total dead budget")
     return StrongCarving(
         clusters=clusters,
-        dead_black_box=np.asarray(sorted(dead_bb), dtype=np.int64),
-        dead_boundary=np.asarray(sorted(dead_bd), dtype=np.int64),
+        dead_black_box=dead_black_box,
+        dead_boundary=dead_boundary,
         ledger=ledger,
         meta={"eps": eps, "seed": seed, "diameter_bound": refined_diameter_bound(n0, eps)},
     )

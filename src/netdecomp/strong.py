@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _setdiff, _window
+from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _setdiff, _split_at, _window
 from .graph import connected_components
 from .ledger import RoundLedger, charge_bfs, charge_steiner_aggregate, merge_parallel
 from .seeding import derive_seed
@@ -151,10 +151,7 @@ def grow_ball(
             "no thin layer within the growth window; "
             f"ball sizes {cum[r_start:]} with eps={eps}"
         )
-    # touched is in BFS order: the first cum[r] nodes are the r-ball
-    ball = np.sort(np.asarray(touched[: cum[r_star]], dtype=np.int64))
-    boundary = np.sort(np.asarray(touched[cum[r_star] : cum[r_star + 1]], dtype=np.int64))
-    return r_star, ball, boundary
+    return (r_star, *_split_at(touched, cum, r_star))
 
 
 def detect_giant(carving: WeakCarving, size_threshold: float) -> WeakCluster | None:
@@ -192,8 +189,8 @@ def carve_strong(
         raise ValueError("eps must be in (0, 1)")
     comps = connected_components(g, mask)
     clusters: list[StrongCluster] = []
-    dead_bb: list[int] = []
-    dead_bd: list[int] = []
+    dead_bb: list[np.ndarray] = []
+    dead_bd: list[np.ndarray] = []
     ledgers = []
     r_bb = 0
     k_max = 0
@@ -206,17 +203,22 @@ def carve_strong(
     ledger = merge_parallel(ledgers) if ledgers else RoundLedger()
     return StrongCarving(
         clusters=clusters,
-        dead_black_box=np.asarray(sorted(dead_bb), dtype=np.int64),
-        dead_boundary=np.asarray(sorted(dead_bd), dtype=np.int64),
+        dead_black_box=_pool(dead_bb),
+        dead_boundary=_pool(dead_bd),
         ledger=ledger,
         meta={"eps": eps, "seed": seed, "diameter_bound": 2 * r_bb + 2 * k_max},
     )
 
 
+def _pool(parts: list[np.ndarray]) -> np.ndarray:
+    """One dead pool: the sorted union of disjoint int64 id arrays."""
+    return np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
+
+
 def _carve_component(g, comp, params, seed, black_box, clusters, dead_bb, dead_bd):
     """Run the halving loop on one entry component, appending its clusters
-    and dead nodes to the caller's lists; returns (ledger, the deepest
-    Steiner tree the black box declared)."""
+    and its dead nodes' id arrays to the caller's lists; returns (ledger, the
+    deepest Steiner tree the black box declared)."""
     n0 = len(comp)
     eps = params.eps
     total = RoundLedger()
@@ -253,13 +255,13 @@ def _carve_component(g, comp, params, seed, black_box, clusters, dead_bb, dead_b
             if not wc.clusters:
                 # pathological black box killed everything: fail soft,
                 # count the whole piece against the black-box pool
-                dead_bb.extend(int(v) for v in s_nodes)
+                dead_bb.append(s_nodes)
                 continue
 
             giant = detect_giant(wc, n0 / (1 << i))
             if giant is None:
                 # thin case: unclustered nodes die, survivors split
-                dead_bb.extend(int(v) for v in wc.dead)
+                dead_bb.append(wc.dead)
                 gone = wc.dead
             else:
                 # giant case: swallow the giant cluster into one BFS ball
@@ -268,7 +270,7 @@ def _carve_component(g, comp, params, seed, black_box, clusters, dead_bb, dead_b
                 )
                 charge_bfs(led, r_star + 1)
                 clusters.append(StrongCluster(nodes=ball, center=int(giant.tree.root)))
-                dead_bd.extend(int(v) for v in boundary)
+                dead_bd.append(boundary)
                 gone = np.concatenate([ball, boundary])
             rest = _setdiff(s_nodes, gone)
             if rest.size:

@@ -232,38 +232,51 @@ def ref_coverage_radius(g: Graph, alive: set[int], seed_nodes, target: float) ->
     raise AssertionError("coverage target unreachable")
 
 
-def check_cut_or_cluster_outcome(g: Graph, alive_ids, outcome, exact_diameter=None):
-    """Assert the dichotomy postconditions by direct measurement."""
+def layer_params(n: int, eps: float) -> tuple[float, int, int]:
+    """cut_or_cluster's (rho, k_l, cut_threshold) on an n-node part (n >= 2),
+    by README's formulas with c_L = 8: rho = 1 + eps/(c_L ln n),
+    K_L = ceil(ln 3 / ln rho) + 1, CT = ceil(ln 2 * c_L ln n / eps) + 2."""
+    ln_n = math.log(n)
+    rho = 1.0 + eps / (8 * ln_n)
+    k_l = math.ceil(math.log(3) / math.log(rho)) + 1
+    return rho, k_l, math.ceil(math.log(2) * 8 * ln_n / eps) + 2
+
+
+def check_cut_or_cluster_outcome(g: Graph, alive_ids, outcome, eps, exact_diameter=None):
+    """Assert the dichotomy postconditions by direct measurement. The outcome
+    splits the alive set into inner | layer | outer, three sorted id arrays;
+    the layer is exactly the inner side's outside neighbourhood (so no edge
+    joins inner and outer) and holds at most (rho - 1) n nodes; the inner
+    side holds at least n/3 nodes, and so does a cut's outer side. A
+    component's inner side is the ball of some radius around its center, at
+    most a + k_l with a the center's n/3-coverage radius."""
     n = len(alive_ids)
     alive_set = set(int(v) for v in alive_ids)
-    rho = outcome.params.get("rho", 1.0)
+    parts = (outcome.inner, outcome.layer, outcome.outer)
+    for p in parts:
+        assert p.dtype == np.int64 and bool((p[1:] > p[:-1]).all())
+    inner, layer, outer = (set(p.tolist()) for p in parts)
+    assert inner | layer | outer == alive_set and sum(map(len, parts)) == n
+    neigh = {w for u in inner for w in g.adj[u] if w in alive_set and w not in inner}
+    assert neigh == layer
+    assert 3 * len(inner) >= n
+    if n == 1:
+        assert outcome.variant == "component" and outcome.center == min(alive_set)
+        return
+    rho, k_l, _ = layer_params(n, eps)
+    assert len(layer) <= (rho - 1) * n
     if outcome.variant == "cut":
-        v1 = set(int(v) for v in outcome.v1)
-        v2 = set(int(v) for v in outcome.v2)
-        sep = set(int(v) for v in outcome.separator)
-        assert v1 | v2 | sep == alive_set
-        assert not (v1 & v2) and not (v1 & sep) and not (v2 & sep)
-        assert 3 * len(v1) >= n and 3 * len(v2) >= n
-        assert len(sep) <= (rho - 1) * n
-        for u in v1:
-            for w in g.adj[u]:
-                assert w not in v2, f"cut sides adjacent via ({u},{w})"
-    else:
-        comp = set(int(v) for v in outcome.component)
-        halo = set(int(v) for v in outcome.halo)
-        assert 3 * len(comp) >= n
-        assert len(halo) <= (rho - 1) * n
-        # halo is exactly the outside neighborhood of the component
-        neigh = set()
-        for u in comp:
-            for w in g.adj[u]:
-                if w in alive_set and w not in comp:
-                    neigh.add(w)
-        assert neigh == halo
-        k_l = outcome.params.get("k_l", 0)
-        assert outcome.r_star <= outcome.a_final + k_l
-        if exact_diameter is not None:
-            assert exact_diameter <= 2 * (outcome.a_final + k_l)
+        assert outcome.center is None
+        assert 3 * len(outer) >= n
+        return
+    assert outcome.variant == "component"
+    a = ref_coverage_radius(g, alive_set, [outcome.center], n / 3)
+    dist = ref_bfs_tree(g, alive_set, outcome.center)[1]
+    radius = max(dist[v] for v in inner)
+    assert inner == {v for v, d in dist.items() if d <= radius}
+    assert radius <= a + k_l
+    if exact_diameter is not None:
+        assert exact_diameter <= 2 * (a + k_l)
 
 
 def record_halvings(monkeypatch) -> list[dict]:
@@ -285,18 +298,18 @@ def record_halvings(monkeypatch) -> list[dict]:
     return calls
 
 
-def check_halvings(g: Graph, alive_ids, outcome, calls):
+def check_halvings(g: Graph, alive_ids, outcome, eps, calls):
     """Replay cut_or_cluster's whole halving walk from the independent
     preorder. Each recorded call must halve the previous winner, with b the
     2n/3-coverage radius; the winner is the half with the strictly smaller
     n/3-coverage radius (ties go to the second half), and that radius is at
-    most b. The walk halves only while no cut is due, and the outcome's
-    a_final is the last seed set's n/3-coverage radius; a component's last
-    seed set is its center alone."""
+    most b. The walk halves only while no cut is due (the cut threshold
+    comes from (n, eps)); a cut's last seed set has its coverage radii at
+    least the threshold apart, and a component's is its center alone."""
     n = len(alive_ids)
     alive_set = set(int(v) for v in alive_ids)
     seeds = ref_preorder(g, alive_set, min(alive_set))
-    cut_threshold = outcome.params.get("cut_threshold")
+    cut_threshold = layer_params(n, eps)[2] if n > 1 else None
     for call in calls:
         assert call["seeds"] == seeds and call["n"] == n
         a = ref_coverage_radius(g, alive_set, seeds, n / 3)
@@ -311,9 +324,8 @@ def check_halvings(g: Graph, alive_ids, outcome, calls):
         seeds = s1 if a1 < a2 else s2
         assert call["chosen"] == seeds
         assert min(a1, a2) <= b
-    a = ref_coverage_radius(g, alive_set, seeds, n / 3)
-    assert outcome.a_final == a
     if outcome.variant == "cut":
+        a = ref_coverage_radius(g, alive_set, seeds, n / 3)
         assert ref_coverage_radius(g, alive_set, seeds, 2 * n / 3) - a >= cut_threshold
     else:
         assert seeds == [outcome.center]

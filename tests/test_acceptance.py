@@ -188,11 +188,11 @@ def test_criterion_4_dichotomy(monkeypatch):
         exact = None
         if out.variant == "component":
             comps += 1
-            exact = induced_diameter(g, out.component).value
+            exact = induced_diameter(g, out.inner).value
         else:
             cuts += 1
-        check_cut_or_cluster_outcome(g, mask.node_ids(), out, exact_diameter=exact)
-        check_halvings(g, mask.node_ids(), out, calls)
+        check_cut_or_cluster_outcome(g, mask.node_ids(), out, eps, exact_diameter=exact)
+        check_halvings(g, mask.node_ids(), out, eps, calls)
         if g.n <= 400:
             true_d = induced_diameter(g, range(g.n)).value
             halvings = len(calls)

@@ -1,5 +1,9 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,29 @@ def test_negative_node_count_file_exit_4(tmp_path):
     dfile.write_text("{}")
     argv = ["verify", "--mode", "decomposition", "--in", str(gfile), "--clustering", str(dfile)]
     assert run(argv) == 4
+
+
+def test_unallocatable_node_count_file_exit_4(tmp_path, capsys):
+    # 10**15 nodes need 7.1 PiB of offsets: refused at once, never reserved
+    gfile = tmp_path / "huge.g"
+    gfile.write_text(f"{10**15} 0\n")
+    assert run(["decompose", "--in", str(gfile), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert f"n={10**15}" in err and "Traceback" not in err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def module(*argv):
+        cmd = [sys.executable, "-m", "netdecomp.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+
+    out = tmp_path / "p5.g"
+    assert module("gen", "--type", "path", "--n", "5", "--out", str(out)).returncode == 0
+    assert out.read_text().startswith("5 4\n")
+    assert module("gen", "--type", "nope", "--out", str(out)).returncode == 2
 
 
 def test_invariant_violation_exit_5(tmp_path, monkeypatch):

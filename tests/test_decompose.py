@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +130,23 @@ def test_outputs_carry_no_self_report():
             assert set(carve(mask).meta) == {"eps", "seed", "diameter_bound"}, name
     d, led = decompose(g, 4, make_refined_carver(linial_saks_black_box))
     assert d.stats == {"rounds": led.total_rounds}
-    assert "trace" not in {f.name for f in dataclasses.fields(CutOrClusterOutcome)}
+    fields = {f.name for f in dataclasses.fields(CutOrClusterOutcome)}
+    assert fields == {"variant", "inner", "layer", "outer", "center"}
+
+
+def test_benchmark_tracer_counts_each_outcome_variant():
+    # perfbench/spans.py is the outcome's one reader outside the library:
+    # it tells a cut from a ball by `variant`
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    with tracer.install():
+        decompose(generate("path", n=1000), 0, make_refined_carver(linial_saks_black_box))
+    c = tracer.counts
+    assert c["refine.cuts"] > 0 and c["refine.balls"] > 0
+    assert c["refine.cuts"] + c["refine.balls"] == c["refine.cut_or_cluster_calls"]
 
 
 def test_disconnected_graph_components_handled():

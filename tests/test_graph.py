@@ -469,6 +469,8 @@ def test_text_rejects_bad_edges():
         "3 2\n0 1\n2\n",  # one token
         "3 1\n0 x\n",  # non-integer token
         "3 1\n1 3\n",  # v >= n
+        "1_0 0\n",  # int() reads 1_0 as 10
+        "\u0663 2\n0 1\n1 2\n",  # an Arabic-Indic 3, which int() reads as 3
     ):
         with pytest.raises(ValueError):
             from_text(text)

@@ -130,15 +130,16 @@ def test_complete_graph_forces_component_variant():
     g = complete_graph(9)
     out, _ = cut_or_cluster(g, NodeMask.full(9), 0.5)
     assert out.variant == "component"
-    assert out.component.tolist() == list(range(9))
-    assert out.halo.size == 0
-    assert induced_diameter(g, out.component).value == 1
+    assert out.inner.tolist() == list(range(9))
+    assert out.layer.size == 0 and out.outer.size == 0
+    assert induced_diameter(g, out.inner).value == 1
 
 
 def test_single_node_component():
     g = generate("path", n=1)
     out, _ = cut_or_cluster(g, NodeMask.full(1), 0.5)
-    assert out.variant == "component" and out.component.tolist() == [0]
+    assert out.variant == "component" and out.inner.tolist() == [0] and out.center == 0
+    assert out.layer.size == 0 and out.outer.size == 0
 
 
 @pytest.mark.parametrize("eps", [1e-300, 1e-15])
@@ -181,7 +182,7 @@ def test_connectivity_is_read_off_the_preorder(monkeypatch):
     g = generate("path", n=30)
     mask = NodeMask.full(30)
     out, _ = cut_or_cluster(g, mask, 0.5)
-    check_cut_or_cluster_outcome(g, mask.node_ids(), out)
+    check_cut_or_cluster_outcome(g, mask.node_ids(), out, 0.5)
     with pytest.raises(ValueError, match="connected"):
         cut_or_cluster(g, mask.without([10]), 0.5)
 
@@ -192,9 +193,9 @@ def test_long_path_yields_single_layer_cut(monkeypatch):
     mask = NodeMask.full(4096)
     out, led = cut_or_cluster(g, mask, 0.5)
     assert out.variant == "cut"
-    assert len(out.separator) <= 2
-    check_cut_or_cluster_outcome(g, mask.node_ids(), out)
-    check_halvings(g, mask.node_ids(), out, calls)
+    assert len(out.layer) <= 2
+    check_cut_or_cluster_outcome(g, mask.node_ids(), out, 0.5)
+    check_halvings(g, mask.node_ids(), out, 0.5, calls)
     # ledger within (3D)(H+1) + D for the true diameter D = n-1
     assert led.total_rounds <= 3 * 4095 * (len(calls) + 1) + 4095
 
@@ -210,17 +211,9 @@ def test_fuzz_outcomes_verified_with_trace_oracle(monkeypatch):
         out, _ = cut_or_cluster(g, mask, eps)
         exact = None
         if out.variant == "component":
-            exact = induced_diameter(g, out.component).value
-        check_cut_or_cluster_outcome(g, mask.node_ids(), out, exact_diameter=exact)
-        check_halvings(g, mask.node_ids(), out, calls)
-
-
-def test_outcome_json_shape():
-    g = complete_graph(5)
-    out, _ = cut_or_cluster(g, NodeMask.full(5), 0.5)
-    obj = out.to_json()
-    assert obj["variant"] == "component"
-    assert set(obj) >= {"variant", "params", "component", "halo", "center"}
+            exact = induced_diameter(g, out.inner).value
+        check_cut_or_cluster_outcome(g, mask.node_ids(), out, eps, exact_diameter=exact)
+        check_halvings(g, mask.node_ids(), out, eps, calls)
 
 
 # ----------------------------------------------------------------------------
