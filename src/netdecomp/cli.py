@@ -2,11 +2,12 @@
 
 Exit codes: 0 ok, 1 I/O failure, 2 bad flags or parameters (argparse, a
 non-finite verify bound, a verify eps outside (0, 1), or a library
-ValueError such as a regular graph the configuration model cannot draw or an
-eps too small for the pipeline's growth windows), 3 verification found
-violations, 4 the graph file or clustering file is malformed (a NaN or
-infinite number, or an eps outside (0, 1), included), 5 an algorithm
-detected a broken guarantee (InvariantViolation).
+ValueError such as a regular graph the configuration model cannot draw, a
+generated graph too large to allocate or an eps too small for the
+pipeline's growth windows), 3 verification found violations, 4 the graph
+file or clustering file is malformed (a NaN or infinite number, or an eps
+outside (0, 1), included), 5 an algorithm detected a broken guarantee
+(InvariantViolation).
 Carve and decompose always verify their own output, against the diameter
 bound their pipeline declares, before writing; an invalid result is never
 written. The cluster diameters they write are the ones the verifier measured.

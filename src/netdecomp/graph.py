@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -90,15 +91,30 @@ def _edge_array(g: Graph) -> np.ndarray:
     return np.column_stack((src[upper], g.indices[upper]))
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+@contextmanager
+def _sized(n: int):
+    """Turn an allocation failure inside the block into the ValueError that
+    names the node count n behind it."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"node count n={n} is too large to allocate") from None
+
+
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a Graph from an (m, 2) integer array-like of edges.
 
     Either orientation is accepted; out-of-range ends, self-loops and
-    duplicates (in either orientation) raise ValueError, as does a negative
-    node count.
+    duplicates (in either orientation) raise ValueError, as do a negative
+    node count and one whose square does not fit int64 (the sort key below).
     """
     if n < 0:
         raise ValueError(f"node count n={n} is negative")
+    if n * n > _INT64_MAX:
+        raise ValueError(f"node count n={n} is too large to allocate")
     e = np.asarray(edges, dtype=np.int64)
     if e.size == 0:
         e = e.reshape(0, 2)
@@ -112,22 +128,18 @@ def graph_from_edges(n: int, edges) -> Graph:
     loop = u == v
     if loop.any():
         raise ValueError(f"self-loop at node {u[np.argmax(loop)]}")
-    # both directions of every edge, sorted by (source, target): the CSR order
-    src = np.concatenate((u, v))
-    dst = np.concatenate((v, u))
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    # both directions of every edge as one key source * n + target, sorted:
+    # the CSR order, in which equal keys are adjacent duplicates
+    key = np.sort(np.concatenate((u * n + v, v * n + u)))
+    dup = key[1:] == key[:-1]
     if dup.any():
-        i = int(np.argmax(dup))
-        a, b = sorted((int(src[i]), int(dst[i])))
+        a, b = sorted(divmod(int(key[np.argmax(dup)]), n))
         raise ValueError(f"duplicate edge {(a, b)}")
-    try:
+    src = key // n
+    with _sized(n):
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    except MemoryError:
-        raise ValueError(f"node count n={n} is too large to allocate") from None
-    return Graph(n=n, indptr=indptr, indices=dst)
+    return Graph(n=n, indptr=indptr, indices=key - src * n)
 
 
 class NodeMask:
@@ -588,9 +600,9 @@ def _gen_gnp(n: int, p: float, seed: int) -> Graph:
     Brandes, Phys. Rev. E 2005): O(n + m).
 
     The pairs (i, j), i < j, are ranked row by row. Each uniform draw u
-    skips 1 + floor(log(1 - u) / log(1 - p)) ranks, the draws come in
-    batches sized to the expected number of edges left, and each drawn rank
-    is unranked exactly by a binary search over the row starts.
+    skips `_skips` ranks, the draws come in batches sized to the expected
+    number of edges left, and each drawn rank is unranked exactly by a
+    binary search over the row starts.
     """
     if n < 1:
         raise ValueError("gnp needs n >= 1")
@@ -599,25 +611,45 @@ def _gen_gnp(n: int, p: float, seed: int) -> Graph:
     if p == 1.0:
         return complete_graph(n)
     total = n * (n - 1) // 2
+    # the row starts come first, so that an n too large to allocate fails
+    # before any draw
+    i = np.arange(n, dtype=np.int64)
+    start = i * (2 * n - i - 1) // 2  # the rank of the pair (i, i + 1)
     ranks = [np.zeros(0, dtype=np.int64)]
     if p > 0.0:
         rng = np.random.default_rng(seed)
         lq = math.log1p(-p)
         pos = -1  # the last rank drawn
         while pos < total:
-            draws = rng.random(int(p * (total - pos)) + 64).tolist()
-            # a skip beyond total + 1 ends the walk just as total + 1 does;
-            # the cap keeps it in int64 and turns an infinite one (p
-            # subnormal) into a number
-            steps = [1 + int(min(math.log(1.0 - u) / lq, total)) for u in draws]
-            run = pos + np.cumsum(steps)
+            run = pos + np.cumsum(_skips(rng.random(int(p * (total - pos)) + 64), lq, total))
             ranks.append(run[: np.searchsorted(run, total)])
             pos = int(run[-1])
     rank = np.concatenate(ranks)
-    i = np.arange(n, dtype=np.int64)
-    start = i * (2 * n - i - 1) // 2  # the rank of the pair (i, i + 1)
     row = np.searchsorted(start, rank, side="right") - 1
     return graph_from_edges(n, np.column_stack((row, rank - start[row] + row + 1)))
+
+
+def _skips(draws: np.ndarray, lq: float, total: int) -> np.ndarray:
+    """The skip `1 + int(min(math.log(1.0 - u) / lq, total))` of each draw u,
+    as an int64 array; lq = log(1 - p) < 0.
+
+    A skip beyond total + 1 ends the walk just as total + 1 does; the cap
+    keeps it in int64 and turns an infinite quotient (p subnormal) into a
+    number. numpy computes q = log(1 - u) / lq with `np.log`, which may
+    differ from `math.log` in the last bit, so the two quotients can differ
+    by a few ulps; their floors then differ only if an integer lies between
+    them, that is within 1e-12 * max(q, 1) of q. Exactly those draws are
+    recomputed by the scalar expression, so every skip equals it. The test
+    also catches q = 0 and every q >= 2**52 (there every float is an
+    integer; q is clipped to 2**53 so that an infinite one stays finite),
+    which keeps the cap at total exact however large total is.
+    """
+    with np.errstate(over="ignore"):  # p subnormal: the quotient is infinite
+        q = np.minimum(np.log(1.0 - draws) / lq, 2.0**53)
+    steps = 1 + np.minimum(q, total).astype(np.int64)
+    for k in np.flatnonzero(np.abs(q - np.rint(q)) <= 1e-12 * np.maximum(q, 1.0)).tolist():
+        steps[k] = 1 + int(min(math.log(1.0 - float(draws[k])) / lq, total))
+    return steps
 
 
 # Stub pairings the configuration model draws before it gives up.
@@ -687,23 +719,29 @@ def generate(kind: str, seed: int = 0, **params) -> Graph:
     """Build a named graph family member; deterministic for a fixed seed.
 
     kinds: path(n), grid(rows, cols), gnp(n, p), regular_expander(n, deg),
-    barrier(base_nodes, degree, subdivision_length).
+    barrier(base_nodes, degree, subdivision_length). A family member too
+    large to allocate raises ValueError naming its node count.
     """
     if kind == "path":
-        return _gen_path(int(params["n"]))
+        n = int(params["n"])
+        with _sized(n):
+            return _gen_path(n)
     if kind == "grid":
-        return _gen_grid(int(params["rows"]), int(params["cols"]))
+        rows, cols = int(params["rows"]), int(params["cols"])
+        with _sized(rows * cols):
+            return _gen_grid(rows, cols)
     if kind == "gnp":
-        return _gen_gnp(int(params["n"]), float(params["p"]), seed)
+        n = int(params["n"])
+        with _sized(n):
+            return _gen_gnp(n, float(params["p"]), seed)
     if kind == "regular_expander":
-        return _gen_regular(int(params["n"]), int(params["deg"]), seed)
+        n = int(params["n"])
+        with _sized(n):
+            return _gen_regular(n, int(params["deg"]), seed)
     if kind == "barrier":
-        return _gen_barrier(
-            int(params["base_nodes"]),
-            int(params["degree"]),
-            int(params["subdivision_length"]),
-            seed,
-        )
+        base, degree, ell = (int(params[k]) for k in ("base_nodes", "degree", "subdivision_length"))
+        with _sized(base + base * degree // 2 * (ell - 1)):
+            return _gen_barrier(base, degree, ell, seed)
     raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
 
 

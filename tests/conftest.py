@@ -114,10 +114,19 @@ def ref_eccentricity(g: Graph, alive: set[int], v: int) -> int:
     return ecc
 
 
+def ref_skips(draws, lq: float, total: int) -> list[int]:
+    """The geometric skips of `draws` by the scalar expression, in the list
+    comprehension the generator evaluated before its skips were vectorised:
+    `1 + int(min(math.log(1.0 - u) / lq, total))` with lq = log(1 - p)."""
+    return [1 + int(min(math.log(1.0 - u) / lq, total)) for u in draws]
+
+
 def ref_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) by the scalar geometric-skip loop with float unranking that
-    `generate("gnp", ...)` used to run, kept verbatim as the oracle the
-    batched generator must match graph for graph (n >= 1, 0 <= p <= 1)."""
+    `generate("gnp", ...)` used to run, one draw at a time, as the oracle the
+    batched generator must match graph for graph (n >= 1, 0 <= p <= 1). Its
+    skip is `ref_skips`: the cap at total ends the walk where an uncapped
+    skip would, and keeps an infinite quotient (p subnormal) finite."""
     if p == 1.0:
         return complete_graph(n)
     edges = []
@@ -127,8 +136,7 @@ def ref_gnp(n: int, p: float, seed: int) -> Graph:
         total = n * (n - 1) // 2
         pos = -1
         while True:
-            u = rng.random()
-            pos += 1 + int(math.log(1.0 - u) / lq)
+            pos += ref_skips([rng.random()], lq, total)[0]
             if pos >= total:
                 break
             # unrank the linear index into (i, j), i < j

@@ -124,6 +124,24 @@ def test_gen_undrawable_regular_base_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--type", "path", "--n", str(10**15)],
+        ["--type", "gnp", "--n", str(10**15), "--p", "0"],
+        ["--type", "grid", "--rows", str(10**9), "--cols", str(10**6)],
+    ],
+    ids=["path", "gnp", "grid"],
+)
+def test_gen_unallocatable_node_count_exit_2(tmp_path, capsys, flags):
+    # 10**15 nodes need 7.1 PiB per id array: refused at once, never reserved
+    out = tmp_path / "g.g"
+    assert run(["gen", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: node count n={10**15} is too large to allocate\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps_impl", ["refined", "strong"])
 def test_carve_empty_graph(tmp_path, eps_impl):
     gfile = tmp_path / "empty.g"

@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from conftest import (
     largest_component_graph,
     ref_ball_sizes,
     ref_gnp,
+    ref_skips,
     uf_components,
 )
 
@@ -369,6 +371,44 @@ def test_gnp_draws_the_scalar_oracles_graph(n, p, seed):
     assert to_text(generate("gnp", seed, n=n, p=p)) == to_text(ref_gnp(n, p, seed))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1e-320, 1e-300, 1e-12, 8 / 20000, 0.5, 0.999, 1 - 1e-12])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
+def test_gnp_matches_the_scalar_skips_at_edge_cases(n, p):
+    for seed in (0, 1, 2**32 - 1):
+        assert to_text(generate("gnp", seed, n=n, p=p)) == to_text(ref_gnp(n, p, seed))
+
+
+def _adversarial_draws(lq: float, ks) -> np.ndarray:
+    """Draws whose quotient log(1 - u) / lq sits on an integer k, for each k
+    in ks, with the three floats on either side, plus both ends of [0, 1)."""
+    u = -np.expm1(np.asarray(ks, dtype=np.float64) * lq)  # 1 - exp(k * lq)
+    down, up, near = u, u, [u]
+    for _ in range(3):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, 1.0)
+        near += [down, up]
+    u = np.concatenate([[0.0, math.nextafter(1.0, 0.0)], *near])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("total", [0, 1, 3, 10**6, 2**53 + 1, 2**62])
+def test_skips_equal_the_scalar_expression_on_adversarial_draws(total):
+    # the fixed p cover a subnormal, an infinite and a sub-1 quotient; the
+    # random sweep puts draws where np.log and math.log round differently
+    # across an integer (20 of its 229422 draws with numpy 2.4 on x86-64)
+    rng = np.random.default_rng(15)
+    fixed = [5e-324, 1e-320, 1e-300, 1e-12, 8 / 20000, 0.3, 0.5, 0.999, 1 - 1e-12]
+    for p in fixed + (10 ** rng.uniform(-15, -0.01, 400)).tolist():
+        lq = math.log1p(-p)
+        ks = [*range(1, 40), *rng.integers(1, int(min(1e12, 30 / p)) + 2, 40).tolist(),
+              2**40, 2**52, 2**53]
+        draws = _adversarial_draws(lq, ks)
+        skips = graphmod._skips(draws, lq, total)
+        assert skips.dtype == np.int64
+        assert skips.tolist() == ref_skips(draws.tolist(), lq, total), p
+
+
 def test_gnp_subnormal_p_draws_no_edges():
     # log(1 - u) / log(1 - p) overflows to infinity: the skip must still end
     # the walk, not raise OverflowError
@@ -443,6 +483,54 @@ def test_graph_from_edges_ignores_order_and_orientation():
             nbrs[u].add(v)
             nbrs[v].add(u)
         assert list(h.adj) == [sorted(nbrs[v]) for v in range(g.n)]
+
+
+def test_graph_from_edges_matches_a_sorted_reference():
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        n = int(rng.integers(2, 80))
+        pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(3 * n)}
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        nbrs = [sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v})
+                for v in range(n)]
+        g = graph_from_edges(n, edges)
+        assert g.indptr.tolist() == [0, *np.cumsum([len(x) for x in nbrs]).tolist()]
+        assert g.indices.tolist() == [w for x in nbrs for w in x]
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        # an edge repeated in the reverse orientation is named as (min, max)
+        x, y = edges[int(rng.integers(len(edges)))]
+        with pytest.raises(ValueError, match=rf"duplicate edge \({min(x, y)}, {max(x, y)}\)$"):
+            graph_from_edges(n, [*edges, (y, x)])
+
+
+@pytest.mark.parametrize("n", [3_037_000_500, 4_000_000_000])
+def test_graph_from_edges_refuses_n_squared_beyond_int64_before_allocating(monkeypatch, n):
+    # n * n > 2**63 - 1, so the sort key src * n + dst could overflow; the
+    # node count is refused before any n-sized array is requested
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n-sized array was requested")
+
+    monkeypatch.setattr(graphmod.np, "zeros", refuse)
+    monkeypatch.setattr(graphmod.np, "bincount", refuse)
+    with pytest.raises(ValueError, match=rf"node count n={n} is too large to allocate"):
+        graph_from_edges(n, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("path", {"n": 10**15}),
+        ("gnp", {"n": 10**15, "p": 0.0}),
+        ("gnp", {"n": 10**15, "p": 1e-300}),
+        ("grid", {"rows": 10**9, "cols": 10**6}),
+        ("regular_expander", {"n": 10**15, "deg": 4}),
+    ],
+)
+def test_generate_too_large_to_allocate_names_n(kind, params):
+    # 10**15 nodes need 7.1 PiB per id array: refused at once, never reserved
+    with pytest.raises(ValueError, match=rf"node count n={10**15} is too large to allocate"):
+        generate(kind, 0, **params)
 
 
 # ----------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdecomp import (
+    InvariantViolation,
     NodeMask,
     generate,
     linial_saks_black_box,
@@ -229,3 +230,13 @@ def test_linial_saks_trees_are_bfs_trees_from_their_roots(g, keep, mask_seed, ep
         for v, p in c.tree.parent.items():
             assert parent[v] == p, (root, v)
         assert c.depth == max(dist[m] for m in c.nodes.tolist())
+
+
+def test_linial_saks_redraw_exhaustion_raises_invariant_violation(monkeypatch):
+    g = generate("gnp", seed=1, n=200, p=0.02)
+    full = NodeMask.full(g.n)
+    # the default number of attempts finds a compliant draw for every component
+    linial_saks_black_box(g, full, 0.2, 2)
+    monkeypatch.setattr(weak, "MAX_REDRAWS", 1)
+    with pytest.raises(InvariantViolation, match=r"component min id 0, eps=0\.2\)"):
+        linial_saks_black_box(g, full, 0.2, 2)
