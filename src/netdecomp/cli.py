@@ -203,7 +203,12 @@ class _ClusteringView:
 
 def _read_clustering(path: str, n: int) -> _ClusteringView:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)  # JSON that does not parse is an I/O failure
+        # JSON that does not parse is an I/O failure, and so is a file that
+        # is not UTF-8 or nests too deep for the parser
+        try:
+            obj = json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as e:
+            raise OSError(f"clustering file {path} is not JSON: {e}") from None
     try:
         return _ClusteringView(obj, n)
     except ValueError as e:

@@ -239,10 +239,12 @@ class Scratch:
 
     Traversals mark nodes in `stamp`. `_bfs_layers` and each flood of the
     Linial-Saks claim (`weak._claim`, which reads its trees off it) record
-    each node's first discoverer in `parent`; `budget` holds the largest
-    broadcast range the claim (its only user) has seen at each node. State
-    is readable only until the next `begin()`: a stage may not call into
-    another stage (or any traversal) while it still reads the workspace.
+    each node's first discoverer in `parent`; the halving census
+    (`refine._census`) stamps nodes but writes no `parent`. `budget` holds
+    the largest broadcast range the claim (its only user) has seen at each
+    node. State is readable only until the next `begin()`: a stage may not
+    call into another stage (or any traversal) while it still reads the
+    workspace.
     """
 
     __slots__ = ("budget", "stamp", "parent", "gen")
@@ -264,17 +266,17 @@ def _bfs_layers(
     sources: Sequence[int],
     scratch: Scratch,
     r_max: int | None = None,
-    stop_size: int | None = None,
 ) -> tuple[list[int], list[int]]:
-    """Layered BFS inside the alive mask: the one traversal kernel.
+    """Layered BFS inside the alive mask: the one kernel for BFS trees,
+    balls and preorders.
 
     Returns (cum, touched): cum[r] = number of alive nodes at distance <= r
     from the source set, for r up to the last explored layer; touched lists
     reached nodes in BFS order, so touched[cum[r-1]:cum[r]] is layer r and
     len(cum) - 1 is the depth reached. scratch.parent[v] is the first
     discoverer of each reached node (-1 for a source), so the parents form
-    a BFS forest. Stops early when the frontier dies, when r_max layers were
-    explored, or (after finishing a layer) when cum >= stop_size.
+    a BFS forest. Stops early when the frontier dies or when r_max layers
+    were explored.
     """
     gen = scratch.begin()
     stamp, parent = scratch.stamp, scratch.parent
@@ -288,8 +290,7 @@ def _bfs_layers(
     cum = [len(touched)]
     # no limit given: a BFS has fewer than n layers and reaches at most n nodes
     max_layers = len(adj) if r_max is None else r_max
-    stop = len(adj) + 1 if stop_size is None else stop_size
-    while len(cum) <= max_layers and cum[-1] < stop:
+    while len(cum) <= max_layers:
         nxt = []
         for u in frontier:
             for w in adj[u]:

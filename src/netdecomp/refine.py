@@ -100,9 +100,55 @@ def _coverage_radius(cum: list[int], target_times_3: int) -> int | None:
 
 
 def _census(adj, alive, nodes, scratch, target_times_3: int):
-    """Multi-source BFS until 3*|B_r| >= target_times_3; returns (cum, touched)."""
+    """Multi-source BFS from `nodes` until 3*|B_r| >= target_times_3;
+    returns (cum, touched) in `_bfs_layers`' shape.
+
+    It stops right after the frontier node whose adjacency scan brings the
+    count to stop = ceil(target_times_3 / 3), so the last entry of cum may
+    count a partial layer: the prefix of that layer's FIFO discovery order
+    that ends with the stopping node's discoveries. If the component runs
+    out first, cum has no entry reaching stop. The callers cannot tell
+    this from a census that finishes the layer:
+
+      * every caller reads a coverage radius, the first r with
+        3*cum[r] >= target; the partial layer reaches stop, and no layer
+        before it does, so r is the same;
+      * the cut branch also reads cum[a:b], one layer size and
+        `_split_at(touched, cum, r_star)` with r_star <= b - 2, where b is
+        the last radius of its census; all of these use complete layers
+        only, because a layer before the stop layer never reached stop;
+      * `_halve` reads only the coverage radii a1 and a2.
+
+    It has its own loop, not `_bfs_layers`, so that the trees, balls and
+    preorders do not pay the per-node stop check. It stamps the nodes it
+    reaches in the workspace but writes no `parent`.
+    """
     stop = (target_times_3 + 2) // 3
-    return _bfs_layers(adj, alive, nodes, scratch, stop_size=stop)
+    gen = scratch.begin()
+    stamp = scratch.stamp
+    frontier = []
+    for s in nodes:
+        if stamp[s] != gen:
+            stamp[s] = gen
+            frontier.append(s)
+    touched = list(frontier)
+    cum = [len(touched)]
+    while cum[-1] < stop:
+        need = stop - cum[-1]
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if alive[w] and stamp[w] != gen:
+                    stamp[w] = gen
+                    nxt.append(w)
+            if len(nxt) >= need:
+                break
+        if not nxt:
+            break
+        touched += nxt
+        cum.append(len(touched))
+        frontier = nxt
+    return cum, touched
 
 
 def _halve(adj, alive, seeds: list[int], scratch, n: int, b: int):

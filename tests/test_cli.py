@@ -251,7 +251,10 @@ def _verify_clustering(tmp_path, clustering, mode="decomposition", n=5, flags=()
     gfile = tmp_path / f"p{n}.g"
     assert run(["gen", "--type", "path", "--n", str(n), "--out", str(gfile)]) == 0
     dfile = tmp_path / "d.json"
-    dfile.write_text(clustering if isinstance(clustering, str) else json.dumps(clustering))
+    if isinstance(clustering, bytes):
+        dfile.write_bytes(clustering)
+    else:
+        dfile.write_text(clustering if isinstance(clustering, str) else json.dumps(clustering))
     return run(["verify", "--mode", mode, "--in", str(gfile), "--clustering", str(dfile), *flags])
 
 
@@ -280,6 +283,16 @@ def test_malformed_carving_dead_entry_exit_4(tmp_path):
 
 def test_unparsable_clustering_json_exit_1(tmp_path):
     assert _verify_clustering(tmp_path, "{not json") == 1
+
+
+@pytest.mark.parametrize(
+    "clustering",
+    [b"\xff\xfe{}", "[" * 200_000 + "]" * 200_000],  # not UTF-8; nested past the parser's limit
+    ids=["not-utf8", "nested-200000"],
+)
+def test_undecodable_clustering_exit_1(tmp_path, capsys, clustering):
+    assert _verify_clustering(tmp_path, clustering) == 1
+    assert capsys.readouterr().err.startswith("I/O error:")
 
 
 def _printed_violations(capsys) -> list[dict]:

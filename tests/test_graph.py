@@ -19,12 +19,14 @@ from netdecomp import (
     induced_diameter,
     to_text,
 )
+from netdecomp.refine import _census, _coverage_radius
 
 from conftest import (
     fw_distances,
     fuzz_graph,
     largest_component_graph,
     ref_ball_sizes,
+    ref_coverage_radius,
     ref_gnp,
     ref_skips,
     uf_components,
@@ -92,14 +94,12 @@ def test_bfs_kernel_parents_are_one_layer_closer(data):
     assume(alive_ids)
     sources = data.draw(st.lists(st.sampled_from(alive_ids), min_size=1, max_size=4))
     r_max = data.draw(st.none() | st.integers(0, g.n))
-    stop_size = data.draw(st.none() | st.integers(1, g.n + 1))
     scratch = g.scratch
     cum, touched = graphmod._bfs_layers(
-        g.adj, NodeMask(alive).as_bytes(), sources, scratch, r_max=r_max, stop_size=stop_size
+        g.adj, NodeMask(alive).as_bytes(), sources, scratch, r_max=r_max
     )
     depth = len(cum) - 1
     assert r_max is None or depth <= r_max
-    assert stop_size is None or all(c < stop_size for c in cum[:-1])
     alive_set = set(alive_ids)
     assert cum == ref_ball_sizes(g, alive_set, sources, depth)
     assert len(set(touched)) == len(touched) == cum[-1]
@@ -111,6 +111,63 @@ def test_bfs_kernel_parents_are_one_layer_closer(data):
             assert p == -1
         else:
             assert p in alive_set and p in g.adj[v] and layer.get(p) == r - 1
+
+
+def ref_census(g, alive: set[int], seeds, stop: int) -> tuple[list[int], int]:
+    """FIFO BFS from the distinct seeds in order, neighbours in adjacency
+    order: the discovery order up to and including the discoveries of the
+    first expanded node whose scan brings the count to `stop` (the seeds
+    alone if they reach it), and the depth of the last discovery."""
+    dist = dict.fromkeys(seeds, 0)
+    q = collections.deque(dist)
+    while q and len(dist) < stop:
+        u = q.popleft()
+        for w in g.adj[u]:
+            if w in alive and w not in dist:
+                dist[w] = dist[u] + 1
+                q.append(w)
+    return list(dist), max(dist.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_census_stops_at_the_frontier_node_that_reaches_its_target(data):
+    # the layers before the last, the coverage radius, and the BFS order up
+    # to the stopping node (so the last, possibly partial, layer) all match
+    # an independent BFS; a component smaller than stop is covered whole
+    g = fuzz_graph(np.random.default_rng(data.draw(st.integers(0, 2**31 - 1))), max_n=60)
+    alive = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+    alive_ids = np.flatnonzero(alive).tolist()
+    assume(alive_ids)
+    seeds = data.draw(st.lists(st.sampled_from(alive_ids), min_size=1, max_size=6))
+    target_times_3 = data.draw(st.integers(1, 3 * len(alive_ids) + 3))
+    stop = (target_times_3 + 2) // 3
+    alive_set = set(alive_ids)
+    cum, touched = _census(g.adj, NodeMask(alive).as_bytes(), seeds, g.scratch, target_times_3)
+    depth = len(cum) - 1
+    full = ref_ball_sizes(g, alive_set, seeds, len(alive_ids))
+    assert cum[:-1] == full[:depth]
+    assert len(set(touched)) == len(touched) == cum[-1]
+    try:
+        radius = ref_coverage_radius(g, alive_set, seeds, target_times_3 / 3)
+    except AssertionError:  # the seeds' component holds fewer than stop nodes
+        radius = None
+    assert _coverage_radius(cum, target_times_3) == radius
+    order, ref_depth = ref_census(g, alive_set, seeds, stop)
+    assert depth == ref_depth
+    assert touched == order
+
+
+def test_census_broom_stops_mid_layer():
+    # 100 seeds with 10 private leaves each: the first five seeds' scans
+    # bring the count to 150, so the other 950 leaves stay unscanned
+    edges = [(i, 100 + 10 * i + j) for i in range(100) for j in range(10)]
+    g = graph_from_edges(1100, edges)
+    cum, touched = _census(
+        g.adj, NodeMask.full(1100).as_bytes(), list(range(100)), g.scratch, 3 * 150
+    )
+    assert cum == [100, 150]
+    assert touched == list(range(150))
 
 
 def test_components_dead_middle_node():
