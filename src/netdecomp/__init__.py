@@ -4,14 +4,14 @@ Transforms any weak-diameter ball carving (consumed as a black box) into a
 strong-diameter one, refines cluster diameters via a cut-or-cluster
 dichotomy, reduces ball carving to full network decomposition, accounts
 synchronous rounds for every step, and ships brute-force verifiers for all
-of it.
+of it. The verifiers' slow dense twins, which the tests hold them to, live
+in the test suite (`tests/oracles.py`), not in the package.
 """
 
 from .errors import InvariantViolation
 from .graph import (
     Graph,
     NodeMask,
-    bfs_layers,
     complete_graph,
     connected_components,
     from_text,

@@ -54,15 +54,6 @@ class NetworkDecomposition:
     diameter_bound: int | None = None
     stats: dict = field(default_factory=dict)
 
-    def assignment(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node (cluster id, color) arrays."""
-        cid = np.full(self.n, -1, dtype=np.int64)
-        col = np.full(self.n, -1, dtype=np.int64)
-        for c in self.clusters:
-            cid[c.nodes] = c.id
-            col[c.nodes] = c.color
-        return cid, col
-
     def to_json(self) -> dict:
         return {
             "colors": self.colors,

@@ -21,7 +21,6 @@ __all__ = [
     "Graph",
     "NodeMask",
     "DiameterResult",
-    "bfs_layers",
     "connected_components",
     "induced_diameter",
     "KINDS",
@@ -77,11 +76,6 @@ class Graph:
         if self._scratch is None:
             self._scratch = Scratch(self.n)
         return self._scratch
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, in sorted order."""
-        e = _edge_array(self)
-        return list(zip(e[:, 0].tolist(), e[:, 1].tolist()))
 
 
 def _edge_array(g: Graph) -> np.ndarray:
@@ -197,13 +191,6 @@ class NodeMask:
     def node_ids(self) -> np.ndarray:
         """The alive node ids, ascending (read-only)."""
         return self._ids
-
-    def without(self, nodes: Iterable[int]) -> "NodeMask":
-        drop = np.unique(np.asarray(list(nodes), dtype=np.int64))
-        _check_sorted_ids(drop, self.alive.size)
-        a = self.alive.copy()
-        a[drop] = False
-        return NodeMask(a)
 
 
 def _check_sorted_ids(ids: np.ndarray, n: int) -> None:
@@ -365,35 +352,6 @@ def _preorder(
 # ----------------------------------------------------------------------------
 # Public operations
 # ----------------------------------------------------------------------------
-
-
-def bfs_layers(
-    g: Graph,
-    mask: NodeMask,
-    sources: Iterable[int],
-    r_max: int,
-) -> tuple[list[int], np.ndarray]:
-    """Cumulative ball sizes |B_0|..|B_r_max| around a source set.
-
-    Returns (cum, dist) where cum has length r_max+1 (padded with the final
-    size once the ball saturates) and dist[v] is the exact distance from the
-    sources inside the alive subgraph, -1 where unreached.
-    """
-    src = sorted(set(int(s) for s in sources))
-    if not src:
-        raise ValueError("no sources")
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
-    _check_sorted_ids(np.asarray(src), g.n)
-    alive = mask.as_bytes()
-    for s in src:
-        if not alive[s]:
-            raise ValueError(f"source {s} is not alive")
-    cum, touched = _bfs_layers(g.adj, alive, src, g.scratch, r_max=r_max)
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[touched] = np.repeat(np.arange(len(cum)), np.diff(cum, prepend=0))
-    cum += [cum[-1]] * (r_max + 1 - len(cum))
-    return cum, dist
 
 
 def connected_components(g: Graph, mask: NodeMask) -> list[np.ndarray]:

@@ -63,11 +63,17 @@ class RoundLedger:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RoundLedger":
+        """The ledger `to_json` wrote. ValueError for a label that is not a
+        string, for rounds or a total that are not an integer (a float or a
+        bool), and for a total that is not the sum of the rounds."""
         led = cls()
         for entry in obj["breakdown"]:
-            led.add(entry["label"], entry["rounds"])
-        if led.total_rounds != obj["total"]:
-            raise ValueError("ledger total does not match breakdown")
+            label, rounds = entry["label"], entry["rounds"]
+            if type(label) is not str or type(rounds) is not int:
+                raise ValueError(f"ledger entry {entry!r}: label must be a string, rounds an int")
+            led.add(label, rounds)
+        if type(obj["total"]) is not int or led.total_rounds != obj["total"]:
+            raise ValueError(f"ledger total {obj['total']!r} is not the int sum of its breakdown")
         return led
 
 

@@ -9,8 +9,9 @@ node id outside 0..n-1 is reported as a violation, never used as an index.
 This is the only place that measures cluster diameters: the strong-carving
 and decomposition verifiers hand back what they measured.
 
-Each verifier has an independently coded slow twin in `dense_check`
-(adjacency-matrix based); fuzz tests require the two to agree.
+Each verifier has an independently coded slow twin in the test suite's
+`tests/oracles.py` (Floyd-Warshall based); fuzz tests require the two to
+agree.
 """
 
 from __future__ import annotations
@@ -173,6 +174,30 @@ def _check_cluster_geometry(
         )
 
 
+def _check_carving(
+    g: Graph, mask: NodeMask, c, eps: float, out: list[Violation]
+) -> list[set[int]]:
+    """The checks every carving gets: its clusters and dead nodes partition
+    the alive set, at most eps of it is dead, and no edge joins two
+    clusters. Returns the clusters' node sets, out-of-range ids dropped."""
+    alive_ids = _as_int_set(mask.node_ids())
+    cluster_sets = [_as_int_set(cl.nodes) for cl in c.clusters]
+    dead = _as_int_set(c.dead)
+    _check_partition(alive_ids, cluster_sets + [dead], out)
+    cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
+    if len(dead) > eps * len(alive_ids):
+        out.append(
+            Violation(
+                "dead-budget-exceeded",
+                {},
+                measured=len(dead),
+                bound=eps * len(alive_ids),
+            )
+        )
+    _check_cluster_adjacency(g, _owners(cluster_sets), out)
+    return cluster_sets
+
+
 # ----------------------------------------------------------------------------
 # Weak carving
 # ----------------------------------------------------------------------------
@@ -187,24 +212,7 @@ def verify_weak_carving(g: Graph, mask: NodeMask, w, eps: float) -> list[Violati
     result means the carving is valid.
     """
     out: list[Violation] = []
-    alive_ids = _as_int_set(mask.node_ids())
-    cluster_sets = [_as_int_set(c.nodes) for c in w.clusters]
-    dead = _as_int_set(w.dead)
-    _check_partition(alive_ids, cluster_sets + [dead], out)
-    cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
-
-    if len(dead) > eps * len(alive_ids):
-        out.append(
-            Violation(
-                "dead-budget-exceeded",
-                {},
-                measured=len(dead),
-                bound=eps * len(alive_ids),
-            )
-        )
-
-    _check_cluster_adjacency(g, _owners(cluster_sets), out)
-
+    cluster_sets = _check_carving(g, mask, w, eps, out)
     edge_use: dict[tuple[int, int], int] = {}
     for k, cluster in enumerate(w.clusters):
         tree = cluster.tree
@@ -311,21 +319,7 @@ def verify_strong_carving(
     result's `diameters` is keyed by the cluster's position in c.clusters.
     """
     out = Violations()
-    alive_ids = _as_int_set(mask.node_ids())
-    cluster_sets = [_as_int_set(cl.nodes) for cl in c.clusters]
-    dead = _as_int_set(c.dead)
-    _check_partition(alive_ids, cluster_sets + [dead], out)
-    cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
-    if len(dead) > eps * len(alive_ids):
-        out.append(
-            Violation(
-                "dead-budget-exceeded",
-                {},
-                measured=len(dead),
-                bound=eps * len(alive_ids),
-            )
-        )
-    _check_cluster_adjacency(g, _owners(cluster_sets), out)
+    cluster_sets = _check_carving(g, mask, c, eps, out)
     for k, nodes in enumerate(cluster_sets):
         if nodes:
             _check_cluster_geometry(g, k, nodes, d_bound, out)

@@ -1,8 +1,9 @@
 """Shared fixtures, independent oracles and spies.
 
-The oracles here deliberately avoid the library's traversal code: distances
-come from dense Floyd-Warshall, components from union-find, ball sizes from
-a dict-based BFS, G(n, p) from a scalar skip loop. Tests compare library
+The oracles here deliberately avoid the library's traversal code: components
+come from union-find, ball sizes from a dict-based BFS, G(n, p) from a
+scalar skip loop. All-pairs distances by Floyd-Warshall, and the dense twins
+of the verifiers built on them, live in `oracles.py`. Tests compare library
 outputs against these. The library reports no trace of its own: where a
 guarantee is about intermediate steps (the halving walk, the parts the
 black box is handed), a spy wrapped around a library function records the
@@ -24,28 +25,6 @@ from netdecomp import Graph, NodeMask, complete_graph, generate, graph_from_edge
 # ----------------------------------------------------------------------------
 # oracles
 # ----------------------------------------------------------------------------
-
-INF = 10**9
-
-
-def fw_distances(g: Graph, alive: set[int] | None = None) -> np.ndarray:
-    """All-pairs distances by Floyd-Warshall on a dense matrix."""
-    n = g.n
-    d = np.full((n, n), INF, dtype=np.int64)
-    keep = set(range(n)) if alive is None else alive
-    for v in keep:
-        d[v, v] = 0
-    for u in range(n):
-        if u not in keep:
-            continue
-        for v in g.adj[u]:
-            if v in keep:
-                d[u, v] = 1
-    for k in range(n):
-        if k not in keep:
-            continue
-        d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    return d
 
 
 def uf_components(g: Graph, mask: NodeMask) -> list[frozenset]:

@@ -2,9 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Everything here goes through public interfaces and the independent
-oracles in conftest. The one internal it touches is cut_or_cluster's
-private halving step, which a conftest spy wraps so that criterion 4 can
-replay every halving.
+oracles in `conftest.py` and `oracles.py`. The one internal it touches is
+cut_or_cluster's private halving step, which a conftest spy wraps so that
+criterion 4 can replay every halving.
 """
 
 import math
@@ -35,11 +35,6 @@ from netdecomp import (
 )
 from netdecomp.cli import cli_main
 from netdecomp.seeding import derive_seed
-from netdecomp.dense_check import (
-    dense_verify_decomposition,
-    dense_verify_strong_carving,
-    dense_verify_weak_carving,
-)
 
 from conftest import (
     BlackBoxSpy,
@@ -50,6 +45,11 @@ from conftest import (
     pools_within_half_eps,
     record_halvings,
     ref_ball_sizes,
+)
+from oracles import (
+    dense_verify_decomposition,
+    dense_verify_strong_carving,
+    dense_verify_weak_carving,
 )
 
 MASTER = 20260810

@@ -1,10 +1,15 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+test oracles import nothing from the library but its data types.
 
 A leftover import hides which module really depends on which. The only
 unused imports allowed are the names `perfbench/spans.py` patches (its
 `PATCHES`): a module keeps such a name so that the tracer can wrap the calls
 made through it. `__init__.py` is not checked, since what it imports is the
 package's public surface.
+
+`tests/oracles.py` may take `Graph`, `NodeMask` and `Violation` from
+`netdecomp`, and nothing else: an oracle that called the library's
+traversals or diameter code would share the faults it is there to catch.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "netdecomp").glob("*.py") if p.name != "__init__.py")
+ORACLE_IMPORTS = {"Graph", "NodeMask", "Violation"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +37,19 @@ def unused_imports(source: str) -> list[str]:
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def library_imports(source: str) -> set[str]:
+    """What `source` imports from `netdecomp`: each name of a `from
+    netdecomp... import`, and each `netdecomp...` module a plain `import`
+    binds."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "netdecomp")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "netdecomp":
+            names.update(a.name for a in node.names)
+    return names
 
 
 def patched_names() -> set[tuple[str, str]]:
@@ -51,3 +70,17 @@ def test_every_import_is_used(path):
     allowed = {name for stem, name in patched_names() if stem == path.stem}
     unused = set(unused_imports(path.read_text(encoding="utf-8")))
     assert unused <= allowed, f"{path.name} imports {sorted(unused - allowed)} without using them"
+
+
+def test_library_imports_finds_every_name():
+    source = (
+        "import numpy\nimport netdecomp.graph\nfrom netdecomp.graph import _bfs_layers\n"
+        "from netdecomp import Graph, induced_diameter as diam\n"
+    )
+    expect = {"netdecomp.graph", "_bfs_layers", "Graph", "induced_diameter"}
+    assert library_imports(source) == expect
+
+
+def test_oracles_import_only_the_data_types():
+    names = library_imports((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    assert names <= ORACLE_IMPORTS, f"oracles.py imports {sorted(names - ORACLE_IMPORTS)}"

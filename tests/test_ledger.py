@@ -84,6 +84,23 @@ def test_json_schema_roundtrip():
     assert again.to_json() == obj
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # truncated to 2 and counted as 1, this loaded with total 3
+        {"total": 3, "breakdown": [{"label": "x", "rounds": 2.9}, {"label": 7, "rounds": True}]},
+        {"total": 2, "breakdown": [{"label": "x", "rounds": 2.0}]},
+        {"total": 1, "breakdown": [{"label": "x", "rounds": True}]},
+        {"total": 1, "breakdown": [{"label": 7, "rounds": 1}]},
+        {"total": 1.0, "breakdown": [{"label": "x", "rounds": 1}]},
+        {"total": True, "breakdown": [{"label": "x", "rounds": 1}]},
+    ],
+)
+def test_from_json_refuses_what_to_json_never_writes(obj):
+    with pytest.raises(ValueError):
+        RoundLedger.from_json(obj)
+
+
 charges = st.lists(st.integers(0, 50), min_size=1, max_size=8)
 
 

@@ -86,7 +86,7 @@ def test_grow_ball_path_closed_form():
 def test_grow_ball_dead_center_errors():
     g = generate("path", n=4)
     with pytest.raises(ValueError):
-        grow_ball(g, NodeMask.full(4).without([2]), 2, 0, 3, 0.5)
+        grow_ball(g, NodeMask.from_nodes(4, [0, 1, 3]), 2, 0, 3, 0.5)
 
 
 def test_grow_ball_rejects_out_of_range_center():

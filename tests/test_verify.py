@@ -18,13 +18,14 @@ from netdecomp import (
     verify_strong_carving,
     verify_weak_carving,
 )
-from netdecomp.dense_check import (
+from netdecomp.decompose import DecompCluster, NetworkDecomposition
+
+from oracles import (
     dense_no_large_lowdiam_component,
     dense_verify_decomposition,
     dense_verify_strong_carving,
     dense_verify_weak_carving,
 )
-from netdecomp.decompose import DecompCluster, NetworkDecomposition
 
 
 def _decomp(n, assignments):
@@ -286,6 +287,15 @@ def test_dense_twin_agrees_on_crafted_cases():
         _carving([[0, 1], [3]], [2], 6),                  # node 4,5 uncovered
         _carving([[0, 1, 2, 3], [5]], [4, 0], 6),         # overlap w/ dead
     ]
+    # clusters holding ids outside 0..5, which both sides report as
+    # not-partition only: no IndexError for 7 or 6, no wrap-around of -1 to 5
+    for nodes in ([0, 1, -1], [0, 1, 7], [5, 6]):
+        rest = [v for v in range(6) if v not in nodes]
+        cases.append(_carving([nodes, rest[1:]], rest[:1], 6))
+        d = _decomp(6, [(1, nodes), (2, rest)])
+        fast = _kinds(verify_decomposition(g, d, 2, 5))
+        slow = _kinds(dense_verify_decomposition(g, d, 2, 5))
+        assert fast == slow == ["not-partition"], (nodes, fast, slow)
     for c in cases:
         fast = _kinds(verify_strong_carving(g, mask, c, 0.5, 5))
         slow = _kinds(dense_verify_strong_carving(g, mask, c, 0.5, 5))
@@ -298,8 +308,14 @@ def test_dense_twin_agrees_on_weak_cases():
     nodes = np.array([0, 1, 2, 3])
     good = SteinerTree(root=0, parent={1: 0, 2: 1, 3: 2})
     broken = SteinerTree(root=0, parent={1: 3, 2: 1, 3: 2})
-    for tree, depth in ((good, 3), (good, 2), (broken, 3)):
-        w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=depth)], [], depth, 1)
+    cases = [(nodes, good, 3), (nodes, good, 2), (nodes, broken, 3)]
+    # ids outside 0..3: a tree through node 9, a terminal at -1 or at 7
+    cases.append((np.array([0, 1]), SteinerTree(root=0, parent={1: 0, 9: 1}), 2))
+    for bad in (-1, 7):
+        cases.append((np.array([0, 1, bad]), SteinerTree(root=0, parent={1: 0}), 1))
+    for nodes, tree, depth in cases:
+        dead = [v for v in range(4) if v not in nodes]
+        w = _weak([WeakCluster(nodes=nodes, tree=tree, depth=depth)], dead, depth, 1)
         fast = _kinds(verify_weak_carving(g, mask, w, 0.5))
         slow = _kinds(dense_verify_weak_carving(g, mask, w, 0.5))
         assert fast == slow, (tree, fast, slow)

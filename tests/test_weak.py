@@ -76,7 +76,7 @@ def test_trivial_connected_graph_one_cluster():
 
 def test_trivial_handles_components_independently():
     g = generate("path", n=7)
-    mask = NodeMask.full(7).without([3])
+    mask = NodeMask.from_nodes(7, [0, 1, 2, 4, 5, 6])
     wc, _ = trivial_black_box(g, mask, 0.5, 0)
     assert len(wc.clusters) == 2
     assert sorted(c.nodes.tolist() for c in wc.clusters) == [[0, 1, 2], [4, 5, 6]]
