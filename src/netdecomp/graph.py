@@ -399,17 +399,26 @@ _BFS_BUDGET = 16
 # have not met within the budget.
 _EXACT_THRESHOLD = 5000
 
+# Frontier size from which induced_diameter expands a BFS layer in numpy
+# rather than node by node. One layer costs the same either way at about 64
+# frontier nodes on the gnp-wide giant cluster (mean degree 8) and about 96
+# on grid 64x64 (degree 4).
+_WIDE = 64
+
 
 def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     """Diameter of the subgraph induced by `nodes`.
 
     Every BFS runs over a compact local copy of the induced subgraph. A BFS
-    from the lowest node decides `connected`. Two double sweeps (x -> the
-    farthest a -> the farthest b, the second from the node nearest both a
-    and b) give a lower bound, and the node nearest all four sweep ends is
-    the root of iFUB (Crescenzi, Grossi, Habib, Lanzi & Marino, TCS 2013):
-    the eccentricities of the root's BFS levels, deepest first, raise the
-    lower bound until it meets the upper bound 2 * (level - 1).
+    from the lowest node decides `connected`. A BFS layer whose frontier
+    holds at least _WIDE nodes is expanded in numpy, a narrower one node by
+    node; a set whose first BFS has no such layer runs every BFS as a plain
+    list BFS. Two double sweeps (x -> the farthest a -> the farthest b, the
+    second from the node nearest both a and b) give a lower bound, and the
+    node nearest all four sweep ends is the root of iFUB (Crescenzi,
+    Grossi, Habib, Lanzi & Marino, TCS 2013): the eccentricities of the
+    root's BFS levels, deepest first, raise the lower bound until it meets
+    the upper bound 2 * (level - 1).
 
     If the bounds have not met within _BFS_BUDGET runs, a set of at most
     _EXACT_THRESHOLD nodes is finished exactly by a bitset all-pairs BFS;
@@ -425,19 +434,22 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
         raise ValueError("empty node set")
     _check_sorted_ids(nodes, g.n)
     src, dst = _local_edges(g, nodes)
-    ip = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=k), out=ip[1:])
-    ip, targets = ip.tolist(), dst.tolist()
-    adj = [targets[ip[v] : ip[v + 1]] for v in range(k)]
+    local = _LocalGraph(k, src, dst)
 
-    dist0 = _local_bfs(adj, 0)
+    dist0 = _layered_bfs(local, 0)
     if min(dist0) < 0:
         return DiameterResult(max(dist0), False, False)
     dists = {0: dist0}
+    # a connected set whose first BFS stayed narrow has had all its rows
+    # built by it, and keeps the plain list BFS
+    rows = local.rows
+
+    def bfs(v: int) -> list[int]:
+        return _layered_bfs(local, v) if local.wide else _local_bfs(rows, v)
 
     def sweep(v: int) -> list[int]:
         if v not in dists:
-            dists[v] = _local_bfs(adj, v)
+            dists[v] = bfs(v)
         return dists[v]
 
     def farthest(dist: list[int]) -> int:
@@ -470,7 +482,7 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
         if len(ecc) + len(fringe) > _BFS_BUDGET:
             break
         for z in fringe:
-            ecc[z] = max(_local_bfs(adj, z))
+            ecc[z] = max(bfs(z))
         i -= 1
     if k <= _EXACT_THRESHOLD:
         return DiameterResult(_diameter_bitset(k, src, dst), True, True)
@@ -493,6 +505,110 @@ def _local_edges(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     src_raw = np.repeat(nodes, counts)
     keep = pos[dst_raw] >= 0
     return pos[src_raw[keep]], pos[dst_raw[keep]]
+
+
+class _LocalGraph:
+    """A node set's induced subgraph in local ids 0..k-1: its CSR arrays `ip`
+    and `dst`, the same as Python lists, and `rows[x]`, the adjacency list
+    of x once a narrow BFS layer has expanded x (None before). `wide` turns
+    true when a BFS first expands a layer in numpy."""
+
+    __slots__ = ("ip", "dst", "ip_list", "dst_list", "rows", "wide")
+
+    def __init__(self, k: int, src: np.ndarray, dst: np.ndarray):
+        ip = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=k), out=ip[1:])
+        self.ip, self.dst = ip, dst
+        self.ip_list, self.dst_list = ip.tolist(), dst.tolist()
+        self.rows: list = [None] * k
+        self.wide = False
+
+
+def _layered_bfs(local: _LocalGraph, s: int) -> list[int]:
+    """Hop distances from `s` over `local`; -1 if unreached.
+
+    A layer of fewer than _WIDE nodes is expanded node by node over a
+    Python list of distances, building the rows it reads; a wider one by
+    `_wide_layer` over a numpy array of distances. A target of layer d lies
+    in layer d - 1, d or d + 1, so a switch either way hands over only the
+    last two layers; the two copies are merged once, at the end.
+    """
+    ip, targets, rows = local.ip_list, local.dst_list, local.rows
+    k = len(rows)
+    dist = [-1] * k
+    dist[s] = 0
+    arr = None
+    # Once the set is known to be wide, some rows are built already, and
+    # `fresh` lists the nodes reached node by node for the merge at the end.
+    # A set's first BFS skips both, and copies the whole list into the
+    # array if the set turns out to be wide.
+    track = local.wide
+    fresh = [s]
+    wide_layers = []  # (distance, nodes) of each layer reached in numpy
+    prev, frontier = [], [s]
+    d = 0
+    while True:
+        while 0 < len(frontier) < _WIDE:
+            d += 1
+            nxt = []
+            for x in frontier:
+                if track:
+                    row = rows[x]
+                    if row is None:
+                        rows[x] = row = targets[ip[x] : ip[x + 1]]
+                else:
+                    rows[x] = row = targets[ip[x] : ip[x + 1]]
+                for y in row:
+                    if dist[y] < 0:
+                        dist[y] = d
+                        nxt.append(y)
+            if track:
+                fresh += nxt
+            prev, frontier = frontier, nxt
+        if not frontier:
+            break
+        if arr is None:
+            if track:
+                arr = np.full(k, -1, dtype=np.int64)
+            else:
+                local.wide = track = True
+                arr, fresh = np.array(dist, dtype=np.int64), []
+        arr[prev] = d - 1
+        arr[frontier] = d
+        while len(frontier) >= _WIDE:
+            d += 1
+            prev, frontier = frontier, _wide_layer(local, arr, frontier, d)
+            wide_layers.append((d, frontier))
+        for at, layer in ((d - 1, prev), (d, frontier)):
+            for y in np.asarray(layer).tolist():
+                dist[y] = at
+        frontier = frontier.tolist()
+    if arr is None:
+        return dist
+    # merge the smaller copy into the larger one
+    if sum(layer.size for _, layer in wide_layers) * 2 < k:
+        for at, layer in wide_layers:
+            for y in layer.tolist():
+                dist[y] = at
+        return dist
+    arr[fresh] = [dist[y] for y in fresh]
+    return arr.tolist()
+
+
+def _wide_layer(local: _LocalGraph, dist: np.ndarray, frontier, d: int) -> np.ndarray:
+    """Expand the BFS layer `frontier` (distance d - 1) in numpy: gather the
+    frontier's rows, keep the targets not yet reached, set their distance to
+    d in `dist` and return them, ascending and without repeats."""
+    f = np.asarray(frontier, dtype=np.int64)
+    lo = local.ip[f]
+    cnt = local.ip[f + 1] - lo
+    ends = np.cumsum(cnt)
+    # the positions in dst of the frontier's rows, row after row
+    nb = local.dst[np.repeat(lo - ends + cnt, cnt) + np.arange(int(ends[-1]))]
+    nb = nb[dist[nb] < 0]
+    dist[nb] = d
+    # sorting a few targets beats a scan of all k distances
+    return np.unique(nb) if nb.size * 64 < dist.size else np.flatnonzero(dist == d)
 
 
 def _local_bfs(adj: list[list[int]], s: int) -> list[int]:

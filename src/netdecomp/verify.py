@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 from .graph import Graph, NodeMask, induced_diameter
 
@@ -86,11 +89,6 @@ def _in_range(g: Graph, nodes: set[int]) -> set[int]:
     return {v for v in nodes if 0 <= v < g.n}
 
 
-def _owners(cluster_sets: list[set[int]]) -> dict[int, int]:
-    """Node -> position of the (last) cluster holding it."""
-    return {v: k for k, nodes in enumerate(cluster_sets) for v in nodes}
-
-
 def _check_partition(
     alive_ids: set[int], parts: list[set[int]], out: list[Violation]
 ) -> None:
@@ -116,37 +114,41 @@ def _check_partition(
 
 def _check_cluster_adjacency(
     g: Graph,
-    owner: dict[int, int],
+    cluster_sets: list[set[int]],
     out: list[Violation],
     colors: list[int] | None = None,
     ids: list[int] | None = None,
 ) -> None:
     """Edge scan: no alive edge may join two distinct (same-color) clusters.
 
-    `owner` maps a node to its cluster's position, `colors` is indexed by
-    position, and a witness names a cluster by `ids[position]` (by its
-    position when `ids` is None). One violation per offending cluster pair,
-    with a witness edge.
+    `cluster_sets` holds in-range node ids; a node in several sets belongs
+    to the last. `colors` is indexed by position, and a witness names a
+    cluster by `ids[position]` (by its position when `ids` is None). One
+    violation per offending cluster pair, in pair order, whose witness is
+    the pair's smallest edge (u, v), u < v.
     """
-    seen_pairs: dict[tuple[int, int], list[int]] = {}
-    for u in owner:
-        cu = owner[u]
-        for v in g.adj[u]:
-            if v <= u or v not in owner:
-                continue
-            cv = owner[v]
-            if cu == cv:
-                continue
-            if colors is not None and colors[cu] != colors[cv]:
-                continue
-            pair = (min(cu, cv), max(cu, cv))
-            if pair not in seen_pairs:
-                seen_pairs[pair] = [u, v]
-    for pair in sorted(seen_pairs):
+    owner = np.full(g.n, -1, dtype=np.int64)
+    sizes = [len(nodes) for nodes in cluster_sets]
+    members = np.fromiter(chain.from_iterable(cluster_sets), dtype=np.int64, count=sum(sizes))
+    np.maximum.at(owner, members, np.repeat(np.arange(len(sizes)), sizes))
+    # the CSR's edges (u, v), ascending; each edge is kept as u < v
+    u = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    v = g.indices
+    cu, cv = owner[u], owner[v]
+    keep = (u < v) & (cu >= 0) & (cv >= 0) & (cu != cv)
+    if colors is not None:
+        # colors are any Python ints, so their ranks are compared
+        rank = {c: r for r, c in enumerate(sorted(set(colors)))}
+        color = np.array([rank[c] for c in colors], dtype=np.int64)
+        keep[keep] = color[cu[keep]] == color[cv[keep]]
+    u, v, lo, hi = u[keep], v[keep], np.minimum(cu, cv)[keep], np.maximum(cu, cv)[keep]
+    # edge order is ascending, so each pair's first edge is its smallest
+    _, first = np.unique(lo * len(sizes) + hi, return_index=True)
+    for i in first.tolist():
+        pair = (int(lo[i]), int(hi[i]))
         named = list(pair) if ids is None else [ids[k] for k in pair]
-        out.append(
-            Violation("adjacent-same-color", {"edge": seen_pairs[pair], "clusters": named})
-        )
+        edge = [int(u[i]), int(v[i])]
+        out.append(Violation("adjacent-same-color", {"edge": edge, "clusters": named}))
 
 
 def _check_cluster_geometry(
@@ -194,7 +196,7 @@ def _check_carving(
                 bound=eps * len(alive_ids),
             )
         )
-    _check_cluster_adjacency(g, _owners(cluster_sets), out)
+    _check_cluster_adjacency(g, cluster_sets, out)
     return cluster_sets
 
 
@@ -267,35 +269,34 @@ def _check_steiner_tree(
             if not alive[c] or not alive[p]:
                 reasons.append("dead tree node")
                 break
-    depths: dict[int, int] = {}
+    depth = {root: 0}
     if not reasons:
-        # walk each terminal to the root; a cycle shows up as an overlong walk
-        limit = len(tree_nodes) + 1
-        for t in terminals:
-            depth = 0
-            v = t
-            while v != root:
-                if v not in parent or depth > limit:
-                    reasons.append("terminal does not reach root")
-                    break
+        # walk every tree node up to a node of known depth; a walk longer
+        # than the tree has nodes is caught in a cycle
+        for node in tree_nodes:
+            path, v = [], node
+            while v not in depth and len(path) <= len(tree_nodes):
+                path.append(v)
                 v = parent[v]
-                depth += 1
-            if reasons:
+            if v not in depth:
+                reasons.append("tree node does not reach root")
                 break
-            depths[t] = depth
+            for w in reversed(path):
+                depth[w] = depth[v] + 1
+                v = w
     if reasons:
         out.append(
             Violation("steiner-terminals", {"cluster": cluster_id, "reason": reasons[0]})
         )
         return
-    if depths:
-        worst = max(depths, key=lambda t: (depths[t], t))
-        if depths[worst] > depth_bound:
+    if terminals:
+        worst = max(terminals, key=lambda t: (depth[t], t))
+        if depth[worst] > depth_bound:
             out.append(
                 Violation(
                     "steiner-depth",
                     {"cluster": cluster_id, "terminal": worst},
-                    measured=depths[worst],
+                    measured=depth[worst],
                     bound=depth_bound,
                 )
             )
@@ -361,7 +362,7 @@ def verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> Violation
                 bound=c_bound,
             )
         )
-    _check_cluster_adjacency(g, _owners(cluster_sets), out, colors=colors, ids=ids)
+    _check_cluster_adjacency(g, cluster_sets, out, colors=colors, ids=ids)
     for cid, nodes in zip(ids, cluster_sets):
         if nodes:
             _check_cluster_geometry(g, cid, nodes, d_bound, out)

@@ -285,6 +285,20 @@ def record_halvings(monkeypatch) -> list[dict]:
     return calls
 
 
+def count_calls(monkeypatch, module, name: str) -> dict:
+    """Spy on `module.<name>`: a wrapper counts its calls in the returned
+    dict, under `name`."""
+    calls = {name: 0}
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def check_halvings(g: Graph, alive_ids, outcome, eps, calls):
     """Replay cut_or_cluster's whole halving walk from the independent
     preorder. Each recorded call must halve the previous winner, with b the

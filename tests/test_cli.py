@@ -311,6 +311,22 @@ def test_repeated_cluster_id_exit_3(tmp_path, capsys):
     assert all(v["witness"].get("reason") != "uncovered" for v in found)
 
 
+def test_huge_colors_are_compared_exactly(tmp_path, capsys):
+    # colors are arbitrary integers, also ones beyond int64
+    one = {"clusters": [{"id": 0, "color": 10**23, "nodes": [0, 1, 2, 3, 4]}]}
+    assert _verify_clustering(tmp_path, one) == 0
+    capsys.readouterr()
+    two = {
+        "clusters": [
+            {"id": 0, "color": 10**23, "nodes": [0, 1]},
+            {"id": 1, "color": 10**23, "nodes": [2, 3, 4]},
+        ]
+    }
+    assert _verify_clustering(tmp_path, two) == 3
+    found = _printed_violations(capsys)
+    assert found == [{"kind": "adjacent-same-color", "witness": {"edge": [1, 2], "clusters": [0, 1]}}]
+
+
 # one cluster of diameter 4 on a 5-node path, recorded bound 4: valid by default
 _ONE_CLUSTER = {
     "colors": 1,

@@ -21,6 +21,7 @@ from netdecomp import (
 from netdecomp.refine import _census, _coverage_radius
 
 from conftest import (
+    count_calls,
     fuzz_graph,
     largest_component_graph,
     ref_ball_sizes,
@@ -613,25 +614,19 @@ def _fuzz_node_set(rng: np.random.Generator) -> tuple:
     return g, sorted(rng.choice(g.n, size=k, replace=False).tolist())
 
 
-def test_induced_diameter_matches_floyd_warshall(monkeypatch):
-    # each set is measured twice: with the module's constants (bounds met or
-    # the bitset finisher, always exact) and with a budget of 7 runs and no
-    # bitset finisher (exact, or a certified upper bound labelled inexact)
-    calls = {"bitset": 0}
-    bitset = graphmod._diameter_bitset
-
-    def counted(*args):
-        calls["bitset"] += 1
-        return bitset(*args)
-
-    monkeypatch.setattr(graphmod, "_diameter_bitset", counted)
+def _floyd_warshall_corpus(monkeypatch) -> collections.Counter:
+    """Measure every set of the fuzz corpus against Floyd-Warshall twice:
+    with the module's budget and finisher (always exact) and with a budget
+    of 7 runs and no bitset finisher (exact, or a certified upper bound
+    labelled inexact). Returns how each set was settled."""
+    calls = count_calls(monkeypatch, graphmod, "_diameter_bitset")
     seen = collections.Counter()
     rng = np.random.default_rng(13)
     for _ in range(220):
         g, nodes = _fuzz_node_set(rng)
         sub = fw_distances(g, alive=set(nodes))[np.ix_(nodes, nodes)]
         true_d = int(sub.max())
-        before = calls["bitset"]
+        before = calls["_diameter_bitset"]
         res = induced_diameter(g, nodes)
         assert res.connected == (true_d < 10**9)
         if not res.connected:
@@ -639,7 +634,7 @@ def test_induced_diameter_matches_floyd_warshall(monkeypatch):
             seen["disconnected"] += 1
             continue
         assert res.exact and res.value == true_d
-        seen["bitset" if calls["bitset"] > before else "bounds met"] += 1
+        seen["bitset" if calls["_diameter_bitset"] > before else "bounds met"] += 1
         with monkeypatch.context() as m:
             m.setattr(graphmod, "_BFS_BUDGET", 7)
             m.setattr(graphmod, "_EXACT_THRESHOLD", 0)
@@ -649,7 +644,23 @@ def test_induced_diameter_matches_floyd_warshall(monkeypatch):
         else:
             assert res.value >= true_d
             seen["bound"] += 1
+    return seen
+
+
+def test_induced_diameter_matches_floyd_warshall(monkeypatch):
+    seen = _floyd_warshall_corpus(monkeypatch)
     assert set(seen) == {"disconnected", "bounds met", "bitset", "bound"}, seen
+
+
+@pytest.mark.parametrize("wide", [1, 3])
+def test_induced_diameter_numpy_layers_match_floyd_warshall(monkeypatch, wide):
+    # _WIDE = 1 expands every layer in numpy; 3 switches back and forth
+    # between the two kernels within one BFS on most fuzz sets
+    monkeypatch.setattr(graphmod, "_WIDE", wide)
+    calls = count_calls(monkeypatch, graphmod, "_wide_layer")
+    seen = _floyd_warshall_corpus(monkeypatch)
+    assert set(seen) == {"disconnected", "bounds met", "bitset", "bound"}, seen
+    assert calls["_wide_layer"] > 0
 
 
 def test_induced_diameter_bound_when_budget_runs_out(monkeypatch):
@@ -668,8 +679,24 @@ def test_induced_diameter_rejects_out_of_range_ids():
             induced_diameter(g, nodes)
 
 
-def test_induced_diameter_exact_on_grid_and_long_path():
+def test_induced_diameter_exact_on_grid_and_long_path(monkeypatch):
+    calls = count_calls(monkeypatch, graphmod, "_wide_layer")
     g = generate("grid", rows=64, cols=64)
     assert induced_diameter(g, range(g.n)) == graphmod.DiameterResult(126, True, True)
+    assert calls["_wide_layer"] > 0
+    calls["_wide_layer"] = 0
     g = generate("path", n=20000)
     assert induced_diameter(g, range(g.n)) == graphmod.DiameterResult(19999, True, True)
+    assert calls["_wide_layer"] == 0  # a thin set runs list BFS only
+
+
+def test_induced_diameter_switches_kernels_both_ways(monkeypatch):
+    # a 200-clique on nodes 0..199 with a 5000-node tail from node 199: a BFS
+    # from the tail's end meets the clique as one wide layer after 5000
+    # narrow ones, and one from inside the clique goes wide, then narrow
+    clique = np.column_stack(np.triu_indices(200, k=1))
+    tail = np.arange(199, 5199)
+    g = graph_from_edges(5200, np.concatenate((clique, np.column_stack((tail, tail + 1)))))
+    calls = count_calls(monkeypatch, graphmod, "_wide_layer")
+    assert induced_diameter(g, range(g.n)) == graphmod.DiameterResult(5001, True, True)
+    assert calls["_wide_layer"] > 0

@@ -10,6 +10,11 @@ package's public surface.
 `tests/oracles.py` may take `Graph`, `NodeMask` and `Violation` from
 `netdecomp`, and nothing else: an oracle that called the library's
 traversals or diameter code would share the faults it is there to catch.
+For the same reason the verifiers share no traversal code with the
+algorithms: `verify.py` takes only `Graph`, `NodeMask` and
+`induced_diameter` from the package, and `induced_diameter`, with every
+definition of `graph.py` it reaches by name, names none of the algorithms'
+traversal machinery.
 """
 
 from __future__ import annotations
@@ -23,6 +28,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "netdecomp").glob("*.py") if p.name != "__init__.py")
 ORACLE_IMPORTS = {"Graph", "NodeMask", "Violation"}
+VERIFY_IMPORTS = {"Graph", "NodeMask", "induced_diameter"}
+# the BFS kernel, workspace, components scan, census, claim and preorder
+# that the algorithms traverse with
+ALGORITHM_TRAVERSALS = {
+    "_bfs_layers",
+    "Scratch",
+    "scratch",
+    "connected_components",
+    "_census",
+    "_claim",
+    "_preorder",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,14 +58,44 @@ def unused_imports(source: str) -> list[str]:
 
 def library_imports(source: str) -> set[str]:
     """What `source` imports from `netdecomp`: each name of a `from
-    netdecomp... import`, and each `netdecomp...` module a plain `import`
-    binds."""
+    netdecomp... import` or of a relative `from . import` (inside the
+    package), and each `netdecomp...` module a plain `import` binds."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(a.name for a in node.names if a.name.split(".")[0] == "netdecomp")
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "netdecomp":
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "netdecomp"
+        ):
             names.update(a.name for a in node.names)
+    return names
+
+
+def reached_names(source: str, entry: str) -> set[str]:
+    """Every name (variable or attribute) mentioned by the top-level
+    definition `entry` of `source` and by each top-level definition it
+    reaches by name, transitively. Type annotations are not followed."""
+    tree = ast.parse(source)
+    defs = {d.name: d for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+    annotations = set()
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if ann is not None:
+                annotations.update(map(id, ast.walk(ann)))
+    names, todo, done = set(), [entry], set()
+    while todo:
+        name = todo.pop()
+        if name in done:
+            continue
+        done.add(name)
+        for node in ast.walk(defs[name]):
+            if id(node) in annotations:
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo.extend(names & defs.keys())
     return names
 
 
@@ -84,3 +131,26 @@ def test_library_imports_finds_every_name():
 def test_oracles_import_only_the_data_types():
     names = library_imports((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
     assert names <= ORACLE_IMPORTS, f"oracles.py imports {sorted(names - ORACLE_IMPORTS)}"
+
+
+def test_reached_names_follows_calls_but_not_annotations():
+    source = (
+        "def entry(g: Scratch):\n    return helper(g)\n"
+        "def helper(g):\n    return g.scratch\n"
+        "def unused():\n    return _bfs_layers\n"
+        "class Scratch:\n    x = _census\n"
+    )
+    names = reached_names(source, "entry")
+    assert {"helper", "scratch"} <= names
+    assert not {"Scratch", "_bfs_layers", "_census"} & names
+
+
+def test_verify_imports_only_the_data_types_and_induced_diameter():
+    names = library_imports((ROOT / "src" / "netdecomp" / "verify.py").read_text(encoding="utf-8"))
+    assert names <= VERIFY_IMPORTS, f"verify.py imports {sorted(names - VERIFY_IMPORTS)}"
+
+
+def test_induced_diameter_shares_no_traversal_with_the_algorithms():
+    source = (ROOT / "src" / "netdecomp" / "graph.py").read_text(encoding="utf-8")
+    shared = reached_names(source, "induced_diameter") & ALGORITHM_TRAVERSALS
+    assert not shared, f"induced_diameter reaches {sorted(shared)}"

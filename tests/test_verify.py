@@ -12,14 +12,20 @@ from netdecomp import (
     WeakCarving,
     WeakCluster,
     complete_graph,
+    decompose,
     generate,
+    linial_saks_black_box,
+    make_refined_carver,
     no_large_lowdiam_component,
+    refined_diameter_bound,
     verify_decomposition,
     verify_strong_carving,
     verify_weak_carving,
 )
+from netdecomp import graph as graphmod
 from netdecomp.decompose import DecompCluster, NetworkDecomposition
 
+from conftest import count_calls
 from oracles import (
     dense_no_large_lowdiam_component,
     dense_verify_decomposition,
@@ -53,6 +59,15 @@ def test_adjacent_same_color_witnessed():
     violations = verify_decomposition(g, d, 2, 1)
     assert [v.kind for v in violations] == ["adjacent-same-color"]
     assert violations[0].witness["edge"] == [0, 1]
+
+
+def test_adjacent_pair_witnessed_by_its_smallest_edge():
+    # clusters [9, 16] and [10, 17] of one color touch along 9-10 and 16-17
+    g = generate("path", n=20)
+    rest = [v for v in range(20) if v not in (9, 10, 16, 17)]
+    d = _decomp(20, [(1, [9, 16]), (1, [10, 17])] + [(2 + i, [v]) for i, v in enumerate(rest)])
+    adjacent = [v for v in verify_decomposition(g, d, 100, 100) if v.kind == "adjacent-same-color"]
+    assert [v.witness for v in adjacent] == [{"edge": [9, 10], "clusters": [0, 1]}]
 
 
 def test_valid_two_coloring_of_p4():
@@ -127,6 +142,21 @@ def test_verifiers_report_what_they_measured():
     c = _carving([[0, 1, 2], [4]], [3], 5)
     res = verify_strong_carving(g, NodeMask.full(5), c, 0.5, 4)
     assert res == [] and {k: r.value for k, r in res.diameters.items()} == {0: 2, 1: 0}
+
+
+def test_giant_gnp_cluster_measured_with_numpy_layers(monkeypatch):
+    # the benchmark's gnp-wide instance (graph seed 1, decompose seed 0) has
+    # one cluster of more than 5000 nodes; its sweeps and iFUB spend the BFS
+    # budget, so it gets the certified bound 12 (its diameter is 9)
+    g = generate("gnp", seed=1, n=20000, p=8 / 20000)
+    d, _ = decompose(g, 0, make_refined_carver(linial_saks_black_box))
+    giant = max(d.clusters, key=lambda c: c.nodes.size)
+    assert giant.nodes.size > 5000
+    calls = count_calls(monkeypatch, graphmod, "_wide_layer")
+    res = verify_decomposition(g, d, 10, refined_diameter_bound(g.n, 0.5))
+    assert res == []
+    assert res.diameters[giant.id] == graphmod.DiameterResult(12, True, False)
+    assert calls["_wide_layer"] > 0
 
 
 @pytest.mark.parametrize("bad", [7, -1])
@@ -311,6 +341,8 @@ def test_dense_twin_agrees_on_weak_cases():
     cases = [(nodes, good, 3), (nodes, good, 2), (nodes, broken, 3)]
     # ids outside 0..3: a tree through node 9, a terminal at -1 or at 7
     cases.append((np.array([0, 1]), SteinerTree(root=0, parent={1: 0, 9: 1}), 2))
+    # a cycle 2 <-> 3 that no terminal walks through
+    cases.append((np.array([0, 1]), SteinerTree(root=0, parent={1: 0, 2: 3, 3: 2}), 1))
     for bad in (-1, 7):
         cases.append((np.array([0, 1, bad]), SteinerTree(root=0, parent={1: 0}), 1))
     for nodes, tree, depth in cases:
