@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, NodeMask, induced_diameter
+from .graph import Graph, NodeMask, _edge_array, induced_diameter
 
 __all__ = [
     "Violation",
@@ -131,11 +131,10 @@ def _check_cluster_adjacency(
     sizes = [len(nodes) for nodes in cluster_sets]
     members = np.fromiter(chain.from_iterable(cluster_sets), dtype=np.int64, count=sum(sizes))
     np.maximum.at(owner, members, np.repeat(np.arange(len(sizes)), sizes))
-    # the CSR's edges (u, v), ascending; each edge is kept as u < v
-    u = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    v = g.indices
+    # the edges (u, v), u < v, ascending
+    u, v = _edge_array(g).T
     cu, cv = owner[u], owner[v]
-    keep = (u < v) & (cu >= 0) & (cv >= 0) & (cu != cv)
+    keep = (cu >= 0) & (cv >= 0) & (cu != cv)
     if colors is not None:
         # colors are any Python ints, so their ranks are compared
         rank = {c: r for r, c in enumerate(sorted(set(colors)))}
@@ -271,15 +270,16 @@ def _check_steiner_tree(
                 break
     depth = {root: 0}
     if not reasons:
-        # walk every tree node up to a node of known depth; a walk longer
-        # than the tree has nodes is caught in a cycle
-        for node in tree_nodes:
+        # walk every tree node, terminals first, up to a node of known
+        # depth; a walk longer than the tree has nodes is caught in a cycle
+        for node in chain(terminals, tree_nodes):
             path, v = [], node
             while v not in depth and len(path) <= len(tree_nodes):
                 path.append(v)
                 v = parent[v]
             if v not in depth:
-                reasons.append("tree node does not reach root")
+                who = "terminal" if node in terminals else "tree node"
+                reasons.append(f"{who} does not reach root")
                 break
             for w in reversed(path):
                 depth[w] = depth[v] + 1

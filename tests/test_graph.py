@@ -681,10 +681,14 @@ def test_induced_diameter_rejects_out_of_range_ids():
 
 def test_induced_diameter_exact_on_grid_and_long_path(monkeypatch):
     calls = count_calls(monkeypatch, graphmod, "_wide_layer")
-    g = generate("grid", rows=64, cols=64)
-    assert induced_diameter(g, range(g.n)) == graphmod.DiameterResult(126, True, True)
-    assert calls["_wide_layer"] > 0
-    calls["_wide_layer"] = 0
+    # the first BFS, from corner 0, meets diagonals of at most `rows` nodes:
+    # narrower than _WIDE on 64 x 64, which then runs list BFS only
+    for rows, wide in ((64, False), (100, True)):
+        g = generate("grid", rows=rows, cols=rows)
+        want = graphmod.DiameterResult(2 * rows - 2, True, True)
+        assert induced_diameter(g, range(g.n)) == want
+        assert (calls["_wide_layer"] > 0) == wide
+        calls["_wide_layer"] = 0
     g = generate("path", n=20000)
     assert induced_diameter(g, range(g.n)) == graphmod.DiameterResult(19999, True, True)
     assert calls["_wide_layer"] == 0  # a thin set runs list BFS only

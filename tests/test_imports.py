@@ -11,10 +11,10 @@ package's public surface.
 `netdecomp`, and nothing else: an oracle that called the library's
 traversals or diameter code would share the faults it is there to catch.
 For the same reason the verifiers share no traversal code with the
-algorithms: `verify.py` takes only `Graph`, `NodeMask` and
-`induced_diameter` from the package, and `induced_diameter`, with every
-definition of `graph.py` it reaches by name, names none of the algorithms'
-traversal machinery.
+algorithms: `verify.py` takes only `Graph`, `NodeMask`, the edge reader
+`_edge_array` and `induced_diameter` from the package, and
+`induced_diameter`, with every definition of `graph.py` it reaches by name,
+names none of the algorithms' traversal machinery.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "netdecomp").glob("*.py") if p.name != "__init__.py")
 ORACLE_IMPORTS = {"Graph", "NodeMask", "Violation"}
-VERIFY_IMPORTS = {"Graph", "NodeMask", "induced_diameter"}
+VERIFY_IMPORTS = {"Graph", "NodeMask", "_edge_array", "induced_diameter"}
 # the BFS kernel, workspace, components scan, census, claim and preorder
 # that the algorithms traverse with
 ALGORITHM_TRAVERSALS = {
@@ -145,7 +145,7 @@ def test_reached_names_follows_calls_but_not_annotations():
     assert not {"Scratch", "_bfs_layers", "_census"} & names
 
 
-def test_verify_imports_only_the_data_types_and_induced_diameter():
+def test_verify_imports_only_the_data_types_edge_reader_and_diameter():
     names = library_imports((ROOT / "src" / "netdecomp" / "verify.py").read_text(encoding="utf-8"))
     assert names <= VERIFY_IMPORTS, f"verify.py imports {sorted(names - VERIFY_IMPORTS)}"
 

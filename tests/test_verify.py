@@ -229,6 +229,21 @@ def test_weak_missing_terminal():
     ]
 
 
+@pytest.mark.parametrize(
+    "parent, reason",
+    [
+        ({1: 2, 2: 1}, "terminal does not reach root"),  # terminal 1 on the cycle
+        ({1: 0, 2: 3, 3: 2}, "tree node does not reach root"),  # no terminal on it
+    ],
+)
+def test_weak_parent_cycle_reason(parent, reason):
+    g = generate("path", n=4)
+    tree = SteinerTree(root=0, parent=parent)
+    w = _weak([WeakCluster(nodes=np.array([0, 1]), tree=tree, depth=1)], [2, 3], 1, 1)
+    res = verify_weak_carving(g, NodeMask.full(4), w, 0.5)
+    assert [(v.kind, v.witness["reason"]) for v in res] == [("steiner-terminals", reason)]
+
+
 def test_weak_congestion_counted():
     # two clusters whose trees share edge (1,2) while declaring L = 1
     g = generate("path", n=4)
