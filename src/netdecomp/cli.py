@@ -1,7 +1,8 @@
 """Command-line front end: generate, carve, decompose, verify.
 
 Exit codes: 0 ok, 1 I/O failure, 2 bad flags or parameters (argparse, a
-non-finite verify bound, a verify eps outside (0, 1), or a library
+non-finite verify bound, a verify eps outside (0, 1), a verify flag that
+the chosen mode does not read, or a library
 ValueError such as a regular graph the configuration model cannot draw, a
 generated graph too large to allocate or an eps too small for the
 pipeline's growth windows), 3 verification found violations, 4 the graph
@@ -216,6 +217,9 @@ def _read_clustering(path: str, n: int) -> _ClusteringView:
 
 
 def _cmd_verify(args) -> int:
+    for flag, mode in (("eps", "carving"), ("c_bound", "decomposition")):
+        if getattr(args, flag) is not None and args.mode != mode:
+            raise ValueError(f"--{flag.replace('_', '-')} applies only to --mode {mode}")
     g = _read_graph(args.infile)
     view = _read_clustering(args.clustering, g.n)
     d_bound = args.d_bound if args.d_bound is not None else view.d_bound

@@ -250,31 +250,28 @@ class Scratch:
 def _bfs_layers(
     adj: tuple,
     alive: bytearray,
-    sources: Sequence[int],
+    source: int,
     scratch: Scratch,
     r_max: int | None = None,
 ) -> tuple[list[int], list[int]]:
-    """Layered BFS inside the alive mask: the one kernel for BFS trees,
-    balls and preorders.
+    """Layered BFS from `source` inside the alive mask: the one kernel for
+    BFS trees, balls and preorders.
 
     Returns (cum, touched): cum[r] = number of alive nodes at distance <= r
-    from the source set, for r up to the last explored layer; touched lists
+    from the source, for r up to the last explored layer; touched lists
     reached nodes in BFS order, so touched[cum[r-1]:cum[r]] is layer r and
     len(cum) - 1 is the depth reached. scratch.parent[v] is the first
-    discoverer of each reached node (-1 for a source), so the parents form
-    a BFS forest. Stops early when the frontier dies or when r_max layers
-    were explored.
+    discoverer of each reached node (-1 for the source), so the parents
+    form a BFS tree. Stops early when the frontier dies or when r_max
+    layers were explored.
     """
     gen = scratch.begin()
     stamp, parent = scratch.stamp, scratch.parent
-    frontier = []
-    for s in sources:
-        if stamp[s] != gen:
-            stamp[s] = gen
-            parent[s] = -1
-            frontier.append(s)
-    touched = list(frontier)
-    cum = [len(touched)]
+    stamp[source] = gen
+    parent[source] = -1
+    frontier = [source]
+    touched = [source]
+    cum = [1]
     # no limit given: a BFS has fewer than n layers and reaches at most n nodes
     max_layers = len(adj) if r_max is None else r_max
     while len(cum) <= max_layers:
@@ -334,7 +331,7 @@ def _preorder(
     component need a canonical linear order; it lists exactly the root's
     component. The tree's BFS state stays readable in scratch.
     """
-    cum, _ = _bfs_layers(adj, alive, [root], scratch)
+    cum, _ = _bfs_layers(adj, alive, root, scratch)
     gen, stamp, parent = scratch.gen, scratch.stamp, scratch.parent
     order = []
     stack = [root]
@@ -434,8 +431,7 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     if k == 0:
         raise ValueError("empty node set")
     _check_sorted_ids(nodes, g.n)
-    src, dst = _local_edges(g, nodes)
-    local = _LocalGraph(k, src, dst)
+    local = _LocalGraph(g, nodes)
 
     dist0 = _layered_bfs(local, 0)
     if min(dist0) < 0:
@@ -486,43 +482,44 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
             ecc[z] = max(bfs(z))
         i -= 1
     if k <= _EXACT_THRESHOLD:
-        return DiameterResult(_diameter_bitset(k, src, dst), True, True)
+        return DiameterResult(_diameter_bitset(local), True, True)
     return DiameterResult(ub, True, False)
-
-
-def _local_edges(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edges of the subgraph induced by the sorted `nodes`, in local
-    ids 0..k-1, sorted by source and then by target."""
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[nodes] = np.arange(nodes.size)
-    counts = (g.indptr[nodes + 1] - g.indptr[nodes]).astype(np.int64)
-    total = int(counts.sum())
-    if not total:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    starts = g.indptr[nodes]
-    offs = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.arange(total) - offs + np.repeat(starts, counts)
-    dst_raw = g.indices[flat]
-    src_raw = np.repeat(nodes, counts)
-    keep = pos[dst_raw] >= 0
-    return pos[src_raw[keep]], pos[dst_raw[keep]]
 
 
 class _LocalGraph:
     """A node set's induced subgraph in local ids 0..k-1: its CSR arrays `ip`
     and `dst`, the same as Python lists, and `rows[x]`, the adjacency list
     of x once a narrow BFS layer has expanded x (None before). `wide` turns
-    true when a BFS first expands a layer in numpy."""
+    true when a BFS first expands a layer in numpy. It is built from the
+    rows of the sorted, distinct `nodes` in `g`, each target mapped to its
+    local id or dropped (-1: not in the set); the targets kept up to each
+    row's end give `ip`."""
 
     __slots__ = ("ip", "dst", "ip_list", "dst_list", "rows", "wide")
 
-    def __init__(self, k: int, src: np.ndarray, dst: np.ndarray):
-        ip = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=k), out=ip[1:])
-        self.ip, self.dst = ip, dst
-        self.ip_list, self.dst_list = ip.tolist(), dst.tolist()
-        self.rows: list = [None] * k
+    def __init__(self, g: Graph, nodes: np.ndarray):
+        pos = np.full(g.n, -1, dtype=np.int64)
+        pos[nodes] = np.arange(nodes.size)
+        targets, ends = _gather_rows(g.indptr, g.indices, nodes)
+        dst = pos[targets]
+        keep = dst >= 0
+        kept = np.zeros(dst.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        self.ip = np.zeros(nodes.size + 1, dtype=np.int64)
+        self.ip[1:] = kept[ends]
+        self.dst = dst[keep]
+        self.ip_list, self.dst_list = self.ip.tolist(), self.dst.tolist()
+        self.rows: list = [None] * nodes.size
         self.wide = False
+
+
+def _gather_rows(ip: np.ndarray, targets: np.ndarray, rows: np.ndarray) -> tuple:
+    """The CSR rows `rows` (at least one) of (ip, targets), concatenated in
+    order, and the end of each row in the result."""
+    lo = ip[rows]
+    cnt = ip[rows + 1] - lo
+    ends = np.cumsum(cnt)
+    return targets[np.repeat(lo - ends + cnt, cnt) + np.arange(int(ends[-1]))], ends
 
 
 def _layered_bfs(local: _LocalGraph, s: int) -> list[int]:
@@ -581,12 +578,7 @@ def _wide_layer(local: _LocalGraph, dist: np.ndarray, frontier, d: int) -> np.nd
     """Expand the BFS layer `frontier` (distance d - 1) in numpy: gather the
     frontier's rows, keep the targets not yet reached, set their distance to
     d in `dist` and return them, ascending and without repeats."""
-    f = np.asarray(frontier, dtype=np.int64)
-    lo = local.ip[f]
-    cnt = local.ip[f + 1] - lo
-    ends = np.cumsum(cnt)
-    # the positions in dst of the frontier's rows, row after row
-    nb = local.dst[np.repeat(lo - ends + cnt, cnt) + np.arange(int(ends[-1]))]
+    nb, _ = _gather_rows(local.ip, local.dst, np.asarray(frontier, dtype=np.int64))
     nb = nb[dist[nb] < 0]
     dist[nb] = d
     # sorting a few targets beats a scan of all k distances (on a 70 x 600
@@ -612,20 +604,21 @@ def _local_bfs(adj: list[list[int]], s: int) -> list[int]:
     return dist
 
 
-def _diameter_bitset(k: int, src: np.ndarray, dst: np.ndarray) -> int:
+def _diameter_bitset(local: _LocalGraph) -> int:
     """Exact diameter of a connected local subgraph with k >= 2 nodes, by an
     all-pairs BFS batched in bitsets (one uint64 lane per source,
-    OR-propagated along edges): one numpy step per distance."""
+    OR-propagated along edges): one numpy step per distance. No row of such
+    a subgraph is empty, so the row starts `ip[:-1]` are the reduceat runs."""
+    k = len(local.rows)
     words = (k + 63) // 64
     reach = np.zeros((k, words), dtype=np.uint64)
     lanes = np.arange(k, dtype=np.uint64)
     reach[np.arange(k), (lanes // np.uint64(64)).astype(np.int64)] = (
         np.uint64(1) << (lanes % np.uint64(64))
     )
-    starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
     diameter = 0
     while True:
-        updated = reach | np.bitwise_or.reduceat(reach[dst], starts, axis=0)
+        updated = reach | np.bitwise_or.reduceat(reach[local.dst], local.ip[:-1], axis=0)
         if np.array_equal(updated, reach):
             return diameter
         reach = updated

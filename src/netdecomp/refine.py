@@ -235,7 +235,7 @@ def cut_or_cluster(
         if len(seeds) == 1:
             # single-vertex seed: close off a ball within the growth window
             center = seeds[0]
-            cum, touched = _bfs_layers(adj, alive, [center], scratch, r_max=a + k_l + 1)
+            cum, touched = _bfs_layers(adj, alive, center, scratch, r_max=a + k_l + 1)
             charge_bfs(ledger, len(cum) - 1)
             _pad_saturated(cum, a, a + k_l + 1)
             r_star = min_ratio_layer(cum[a:], lo=a)

@@ -139,7 +139,7 @@ def grow_ball(
         raise ValueError(f"center {center} is dead")
     thin = 1.0 - eps / 2
     r_max = r_start + k_growth + 1
-    cum, touched = _bfs_layers(g.adj, mask.as_bytes(), [center], g.scratch, r_max=r_max)
+    cum, touched = _bfs_layers(g.adj, mask.as_bytes(), center, g.scratch, r_max=r_max)
     _pad_saturated(cum, r_start, r_max)
     r_star = -1
     for r in range(r_start, len(cum) - 1):

@@ -80,6 +80,8 @@ class Violations(list):
 
 
 def _as_int_set(nodes: Iterable[int]) -> set[int]:
+    if isinstance(nodes, np.ndarray) and nodes.dtype.kind in "iu":
+        return set(nodes.tolist())  # Python ints, in one call
     return set(int(v) for v in nodes)
 
 

@@ -149,7 +149,7 @@ def _trivial_component(g, mask, comp, eps, seed):
     alive = mask.as_bytes()
     scratch = g.scratch
     root = int(comp[0])
-    cum, touched = _bfs_layers(g.adj, alive, [root], scratch)
+    cum, touched = _bfs_layers(g.adj, alive, root, scratch)
     ecc = len(cum) - 1
     parent = {v: scratch.parent[v] for v in touched if v != root}
     cluster = WeakCluster(nodes=comp, tree=SteinerTree(root=root, parent=parent), depth=ecc)

@@ -393,6 +393,19 @@ def test_verify_eps_flag_outside_unit_interval_exit_2(tmp_path, capsys):
     assert "'7' is not in (0, 1)" in capsys.readouterr().err
 
 
+def test_verify_eps_flag_under_decomposition_mode_exit_2(tmp_path, capsys):
+    # a decomposition has no eps to check: the flag would change nothing
+    assert _verify_clustering(tmp_path, _ONE_CLUSTER, flags=["--eps", "0.5"]) == 2
+    assert "--eps applies only to --mode carving" in capsys.readouterr().err
+
+
+def test_verify_c_bound_flag_under_carving_mode_exit_2(tmp_path, capsys):
+    # a carving has no colors to bound: the flag would change nothing
+    flags = ["--c-bound", "3"]
+    assert _verify_clustering(tmp_path, _PATH6_ALL_DEAD % "0.5", "carving", 6, flags) == 2
+    assert "--c-bound applies only to --mode decomposition" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--d-bound", "--eps"])
 def test_non_finite_verify_flag_exit_2(tmp_path, capsys, flag, value):

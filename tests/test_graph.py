@@ -33,10 +33,10 @@ from conftest import (
 from oracles import fw_distances
 
 
-def _layers(g, mask, sources, r_max=None):
-    """`_bfs_layers` from `sources`: its cum, and each node's distance read
+def _layers(g, mask, source, r_max=None):
+    """`_bfs_layers` from `source`: its cum, and each node's distance read
     off the result as the index of its layer (-1 where unreached)."""
-    cum, touched = graphmod._bfs_layers(g.adj, mask.as_bytes(), sources, g.scratch, r_max)
+    cum, touched = graphmod._bfs_layers(g.adj, mask.as_bytes(), source, g.scratch, r_max)
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[touched] = np.repeat(np.arange(len(cum)), np.diff(cum, prepend=0))
     return cum, dist
@@ -44,20 +44,20 @@ def _layers(g, mask, sources, r_max=None):
 
 def test_bfs_path_line_distances():
     g = generate("path", n=5)
-    cum, dist = _layers(g, NodeMask.full(5), [0], 4)
+    cum, dist = _layers(g, NodeMask.full(5), 0, 4)
     assert cum == [1, 2, 3, 4, 5]
     assert dist.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_bfs_star_all_leaves_at_one():
     g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    cum, _ = _layers(g, NodeMask.full(5), [0], 1)
+    cum, _ = _layers(g, NodeMask.full(5), 0, 1)
     assert cum == [1, 5]
 
 
 def test_bfs_grid_corner_matches_floyd_warshall():
     g = generate("grid", rows=5, cols=5)
-    cum, dist = _layers(g, NodeMask.full(25), [0], 8)
+    cum, dist = _layers(g, NodeMask.full(25), 0, 8)
     # frozen from the Floyd-Warshall oracle below
     assert cum == [1, 3, 6, 10, 15, 19, 22, 24, 25]
     d = fw_distances(g)
@@ -69,26 +69,26 @@ def test_bfs_grid_corner_matches_floyd_warshall():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_bfs_kernel_parents_are_one_layer_closer(data):
-    # the layer sizes match the oracle, and every reached non-source node's
-    # parent is an alive neighbour one layer closer: together these make
-    # each node's layer its exact distance from the sources
+    # the layer sizes match the oracle, and every reached node but the
+    # source has as parent an alive neighbour one layer closer: together
+    # these make each node's layer its exact distance from the source
     g = fuzz_graph(np.random.default_rng(data.draw(st.integers(0, 2**31 - 1))), max_n=60)
     alive = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
     alive_ids = np.flatnonzero(alive).tolist()
     assume(alive_ids)
-    sources = data.draw(st.lists(st.sampled_from(alive_ids), min_size=1, max_size=4))
+    source = data.draw(st.sampled_from(alive_ids))
     r_max = data.draw(st.none() | st.integers(0, g.n))
     scratch = g.scratch
     cum, touched = graphmod._bfs_layers(
-        g.adj, NodeMask(alive).as_bytes(), sources, scratch, r_max=r_max
+        g.adj, NodeMask(alive).as_bytes(), source, scratch, r_max=r_max
     )
     depth = len(cum) - 1
     assert r_max is None or depth <= r_max
     alive_set = set(alive_ids)
-    assert cum == ref_ball_sizes(g, alive_set, sources, depth)
+    assert cum == ref_ball_sizes(g, alive_set, [source], depth)
     assert len(set(touched)) == len(touched) == cum[-1]
     layer = {v: r for r in range(depth + 1) for v in touched[cum[r - 1] if r else 0 : cum[r]]}
-    assert set(touched[: cum[0]]) == set(sources)
+    assert touched[: cum[0]] == [source]
     for v, r in layer.items():
         p = scratch.parent[v]
         if r == 0:
@@ -186,12 +186,12 @@ def test_bfs_cumulative_sizes_monotone_and_capped(seed):
     if not alive.any():
         alive[0] = True
     mask = NodeMask(alive)
-    src = [int(np.flatnonzero(alive)[0])]
+    src = int(np.flatnonzero(alive)[0])
     cum, _ = _layers(g, mask, src)
     assert all(a <= b for a, b in zip(cum, cum[1:]))
     assert cum[-1] <= int(alive.sum())
     # the BFS stops only once the ball stops growing
-    oracle = ref_ball_sizes(g, set(np.flatnonzero(alive).tolist()), src, g.n)
+    oracle = ref_ball_sizes(g, set(np.flatnonzero(alive).tolist()), [src], g.n)
     assert cum + [cum[-1]] * (g.n + 1 - len(cum)) == oracle
 
 
@@ -201,7 +201,7 @@ def test_bfs_distances_match_floyd_warshall(seed):
     rng = np.random.default_rng(seed)
     g = fuzz_graph(rng, max_n=40)
     mask = NodeMask.full(g.n)
-    _, dist = _layers(g, mask, [0])
+    _, dist = _layers(g, mask, 0)
     d = fw_distances(g)
     expect = np.where(d[0] >= 10**9, -1, d[0])
     assert (dist == expect).all()
@@ -212,7 +212,7 @@ def test_bfs_triangle_inequality_against_all_pairs_oracle_n200():
     mask = NodeMask.full(200)
     d = fw_distances(g)
     for src in (0, 57, 199):
-        _, dist = _layers(g, mask, [src], 200)
+        _, dist = _layers(g, mask, src, 200)
         expect = np.where(d[src] >= 10**9, -1, d[src])
         assert (dist == expect).all()
         # triangle inequality across every edge
@@ -297,7 +297,7 @@ def test_traversals_share_one_workspace_per_graph():
     assert g.scratch is g.scratch
     mask = NodeMask.from_nodes(9, [0, 1, 2, 4, 5, 7])
     first = [c.tolist() for c in connected_components(g, mask)]
-    _layers(g, mask, [4], 3)  # another traversal in between
+    _layers(g, mask, 4, 3)  # another traversal in between
     assert [c.tolist() for c in connected_components(g, mask)] == first == [[0, 1, 2], [4, 5], [7]]
 
 
@@ -661,6 +661,32 @@ def test_induced_diameter_numpy_layers_match_floyd_warshall(monkeypatch, wide):
     seen = _floyd_warshall_corpus(monkeypatch)
     assert set(seen) == {"disconnected", "bounds met", "bitset", "bound"}, seen
     assert calls["_wide_layer"] > 0
+
+
+def _dict_local_graph(g, nodes) -> tuple[list[int], list[int]]:
+    """The subgraph induced by the sorted `nodes` in local ids, built from
+    dicts: its row starts and its sorted rows, concatenated."""
+    local = {v: i for i, v in enumerate(nodes)}
+    rows = [sorted(local[w] for w in g.adj[v] if w in local) for v in nodes]
+    ip = [0]
+    for row in rows:
+        ip.append(ip[-1] + len(row))
+    return ip, [y for row in rows for y in row]
+
+
+def test_local_graph_matches_dict_induced_subgraph():
+    rng = np.random.default_rng(29)
+    cases = [_fuzz_node_set(rng) for _ in range(150)]
+    # nodes 3 and 5 are isolated in g; ids 0 and n - 1 = 6 are in the sets
+    g = graph_from_edges(7, [(0, 1), (1, 2), (4, 6)])
+    for nodes in ([0], [3], [6], [3, 5], [0, 2, 3, 4], [0, 6], [4, 6], list(range(7))):
+        cases.append((g, nodes))
+    for g, nodes in cases:
+        local = graphmod._LocalGraph(g, np.asarray(nodes, dtype=np.int64))
+        ip, dst = _dict_local_graph(g, nodes)
+        assert local.ip.tolist() == local.ip_list == ip
+        assert local.dst.tolist() == local.dst_list == dst
+        assert local.rows == [None] * len(nodes) and not local.wide
 
 
 def test_induced_diameter_bound_when_budget_runs_out(monkeypatch):
