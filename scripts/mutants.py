@@ -88,6 +88,20 @@ MUTANTS = (
         "keep = (cu >= 0) & (cv >= 0)",
         ("tests/test_verify.py::test_valid_two_coloring_of_p4",),
     ),
+    Mutant(
+        "claim congestion drops the reversed orientation",
+        "weak.py",
+        "c += uses[p] if up[p] == v else extra.get((p, v), 0)",
+        "c += 0",
+        ("tests/test_weak.py::test_linial_saks_declares_exact_congestion",),
+    ),
+    Mutant(
+        "a part mask answers the split on any graph",
+        "graph.py",
+        "if mask._component_of is g:",
+        "if mask._component_of is not None:",
+        ("tests/test_strong.py::test_part_masks_carry_their_component",),
+    ),
 )
 
 

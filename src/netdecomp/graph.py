@@ -146,21 +146,28 @@ class NodeMask:
     into that block; `from_nodes` fills it from a part's ids, so building
     the mask of a k-node part scans no n-length array. Derived masks are
     new objects.
+
+    A mask built by `_of_sorted` from one component that
+    `connected_components(g, _)` returned can carry g in `_component_of`:
+    `connected_components` on g then returns the mask's ids as its one
+    component without a traversal, and on any other graph scans as usual.
     """
 
-    __slots__ = ("alive", "_bytes", "_ids")
+    __slots__ = ("alive", "_bytes", "_ids", "_component_of")
 
     def __init__(self, alive: np.ndarray):
         alive = np.asarray(alive, dtype=bool)
         self._own(bytearray(alive.tobytes()), np.flatnonzero(alive))
 
-    def _own(self, buf: bytearray, ids: np.ndarray) -> None:
-        """Take `buf` as this mask's block and `ids` as its alive ids."""
+    def _own(self, buf: bytearray, ids: np.ndarray, component_of: Graph | None = None) -> None:
+        """Take `buf` as this mask's block, `ids` as its alive ids and
+        `component_of` as the graph in which they form one component."""
         self._bytes = buf
         self.alive = np.frombuffer(buf, dtype=bool)
         self.alive.flags.writeable = False
         ids.flags.writeable = False
         self._ids = ids
+        self._component_of = component_of
 
     @classmethod
     def full(cls, n: int) -> "NodeMask":
@@ -176,10 +183,17 @@ class NodeMask:
         if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
             ids = np.unique(ids)
         _check_sorted_ids(ids, n)
+        return cls._of_sorted(n, ids)
+
+    @classmethod
+    def _of_sorted(cls, n: int, ids: np.ndarray, component_of: Graph | None = None) -> "NodeMask":
+        """The mask of the ascending, unique, in-range int64 `ids`, which it
+        takes as its own (read-only) without a copy or a check; pass
+        `component_of=g` when the ids are one component in g."""
         buf = bytearray(n)
         np.frombuffer(buf, dtype=bool)[ids] = True
         mask = cls.__new__(cls)
-        mask._own(buf, ids)
+        mask._own(buf, ids, component_of)
         return mask
 
     def as_bytes(self) -> bytearray:
@@ -229,17 +243,22 @@ class Scratch:
     each node's first discoverer in `parent`; the halving census
     (`refine._census`) stamps nodes but writes no `parent`. `budget` holds
     the largest broadcast range the claim (its only user) has seen at each
-    node. State is readable only until the next `begin()`: a stage may not
-    call into another stage (or any traversal) while it still reads the
-    workspace.
+    node. `up` and `uses` count the claim's tree edges, keyed by child (the
+    claim is their only user too, and resets `uses` on its component):
+    `uses[v]` trees so far hold the edge from v to `up[v]`, the first parent
+    v had in them. State is readable only until the next `begin()`: a stage
+    may not call into another stage (or any traversal) while it still reads
+    the workspace.
     """
 
-    __slots__ = ("budget", "stamp", "parent", "gen")
+    __slots__ = ("budget", "stamp", "parent", "up", "uses", "gen")
 
     def __init__(self, n: int):
         self.budget = [0] * n
         self.stamp = [0] * n
         self.parent = [0] * n
+        self.up = [0] * n
+        self.uses = [0] * n
         self.gen = 0
 
     def begin(self) -> int:
@@ -355,8 +374,12 @@ def connected_components(g: Graph, mask: NodeMask) -> list[np.ndarray]:
     """Partition of the alive nodes into components, ordered by min node id.
 
     Each component is a sorted ascending array. Empty mask gives [].
-    A node is seen once it carries this call's stamp in the workspace.
+    A node is seen once it carries this call's stamp in the workspace. A
+    mask that carries its component in g (`NodeMask._of_sorted`) is
+    answered with its own ids, without a traversal.
     """
+    if mask._component_of is g:
+        return [mask.node_ids()]
     alive = mask.as_bytes()
     adj = g.adj
     scratch = g.scratch

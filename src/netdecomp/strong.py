@@ -242,7 +242,8 @@ def _carve_component(g, comp, params, seed, black_box, clusters, dead_bb, dead_b
                 continue
             led = RoundLedger()  # filled below; merged after the iteration
             iter_ledgers.append(led)
-            s_mask = NodeMask.from_nodes(g.n, s_nodes)
+            # s_nodes is one component in g: the black box's split is free
+            s_mask = NodeMask._of_sorted(g.n, s_nodes, component_of=g)
             eps_bb = params.eps_prime
             try:
                 wc, bb_led = black_box(g, s_mask, eps_bb, derive_seed(seed, i, int(s_nodes[0])))
@@ -274,7 +275,7 @@ def _carve_component(g, comp, params, seed, black_box, clusters, dead_bb, dead_b
                 gone = np.concatenate([ball, boundary])
             rest = _setdiff(s_nodes, gone)
             if rest.size:
-                nxt.extend(connected_components(g, NodeMask.from_nodes(g.n, rest)))
+                nxt.extend(connected_components(g, NodeMask._of_sorted(g.n, rest)))
         if iter_ledgers:
             total.extend(merge_parallel(iter_ledgers))
         current = nxt

@@ -110,8 +110,10 @@ def linial_saks_black_box(g, mask, eps, seed):
 
 def _carve(g, mask, eps, seed, carve_component) -> tuple[WeakCarving, RoundLedger]:
     """Carve each component of the alive subgraph with carve_component(g,
-    mask, comp, eps, seed) -> (clusters, dead, ledger), merge the ledgers in
-    parallel, and declare depth and congestion from the clusters' trees."""
+    mask, comp, eps, seed) -> (clusters, dead, ledger, congestion), merge
+    the ledgers in parallel, declare the deepest cluster tree as depth and
+    the largest component congestion (the most trees sharing one edge, at
+    least 1) as congestion: trees in different components share no edge."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     if mask.count() == 0:
@@ -119,23 +121,19 @@ def _carve(g, mask, eps, seed, carve_component) -> tuple[WeakCarving, RoundLedge
     clusters: list[WeakCluster] = []
     dead_parts = []
     ledgers = []
+    congestion = 1
     for comp in connected_components(g, mask):
-        comp_clusters, comp_dead, led = carve_component(g, mask, comp, eps, seed)
+        comp_clusters, comp_dead, led, comp_congestion = carve_component(g, mask, comp, eps, seed)
         clusters.extend(comp_clusters)
         dead_parts.append(comp_dead)
         ledgers.append(led)
+        congestion = max(congestion, comp_congestion)
     dead = np.sort(np.concatenate(dead_parts))  # a nonempty mask has a component
-    n = g.n
-    edge_use: dict[int, int] = {}  # tree edges, keyed a*n+b with a < b
-    for c in clusters:
-        for a, b in c.tree.parent.items():
-            e = a * n + b if a < b else b * n + a
-            edge_use[e] = edge_use.get(e, 0) + 1
     carving = WeakCarving(
         clusters=clusters,
         dead=dead,
         declared_depth=max((c.depth for c in clusters), default=0),
-        declared_congestion=max(edge_use.values(), default=1),
+        declared_congestion=congestion,
     )
     return carving, merge_parallel(ledgers)
 
@@ -155,7 +153,7 @@ def _trivial_component(g, mask, comp, eps, seed):
     cluster = WeakCluster(nodes=comp, tree=SteinerTree(root=root, parent=parent), depth=ecc)
     led = RoundLedger()
     charge_leader_election(led, ecc)
-    return [cluster], np.zeros(0, dtype=np.int64), led
+    return [cluster], np.zeros(0, dtype=np.int64), led, 1
 
 
 # ----------------------------------------------------------------------------
@@ -181,12 +179,14 @@ def _linial_saks_component(g, mask, comp, eps, seed):
     for attempt in range(MAX_REDRAWS):
         rng = rng_from(seed, comp_list[0], attempt)
         radii = _draw_radii(rng, k, p, r_cap).tolist()
-        clusters, dead, rounds = _claim(g.adj, mask.as_bytes(), comp_list, radii, g.scratch)
+        clusters, dead, rounds, congestion = _claim(
+            g.adj, mask.as_bytes(), comp_list, radii, g.scratch
+        )
         led = RoundLedger()
         led.add("ls-broadcast", rounds + 1)
         if len(dead) <= eps * k:
             led.add("ls-tree", max((c.depth for c in clusters), default=0))
-            return clusters, np.sort(np.asarray(dead, dtype=np.int64)), led
+            return clusters, np.sort(np.asarray(dead, dtype=np.int64)), led, congestion
         # redraw this component with a fresh derived stream
     raise InvariantViolation(
         f"linial_saks: no compliant radius draw after {MAX_REDRAWS} attempts "
@@ -198,7 +198,8 @@ def _claim(adj, alive, comp_list, radii, scratch):
     """Assign each node the highest-id broadcaster reaching it, with slack
     (radius minus distance): slack 0 kills the node, slack >= 1 puts it in
     the broadcaster's cluster. Returns (clusters by ascending root, with
-    their trees; dead nodes; deepest flood in hops).
+    their trees; dead nodes; deepest flood in hops; congestion, the most
+    trees sharing one edge, at least 1).
 
     radii[i] is comp_list[i]'s radius; broadcasters go in descending id
     order; a node is claimed once it carries this call's stamp. best_budget
@@ -214,11 +215,20 @@ def _claim(adj, alive, comp_list, radii, scratch):
     claims with that much budget (it would have claimed the node), so u's
     flood reaches it at its BFS layer and, by induction on layers, first
     from its BFS parent.
+
+    Each tree edge is counted as the walk adds it, keyed by its child in the
+    workspace's `up` and `uses` (reset on the component with best_budget):
+    a child's first parent there, and `extra` for any later one. An edge's
+    trees are those holding it in either orientation.
     """
     gen = scratch.begin()
     best_budget, parent, stamp = scratch.budget, scratch.parent, scratch.stamp
+    up, uses = scratch.up, scratch.uses
     for v in comp_list:
         best_budget[v] = -1
+        uses[v] = 0
+    extra: dict[tuple[int, int], int] = {}  # (child, parent) -> trees, past the first parent
+    congestion = 1
     k = len(comp_list)
     clusters = []
     dead = []
@@ -254,15 +264,27 @@ def _claim(adj, alive, comp_list, radii, scratch):
         max_rounds = max(max_rounds, ru - b)
         if members:
             clustered += len(members)
-            # u's flood set each member's budget once, when it claimed it
-            depth = ru - min(best_budget[m] for m in members)
+            # u's flood set each member's budget once, when it claimed it,
+            # and claimed them in flood order: the last is the deepest
+            depth = ru - best_budget[members[-1]]
             members.sort()
             tree_parent: dict[int, int] = {}
             for v in members:
                 while v != u and v not in tree_parent:
-                    tree_parent[v] = parent[v]
-                    v = parent[v]
+                    tree_parent[v] = p = parent[v]
+                    if not uses[v]:
+                        up[v] = p
+                        uses[v] = c = 1
+                    elif up[v] == p:
+                        uses[v] = c = uses[v] + 1
+                    else:
+                        extra[v, p] = c = extra.get((v, p), 0) + 1
+                    if uses[p]:  # p has been a child: add the trees holding p -> v
+                        c += uses[p] if up[p] == v else extra.get((p, v), 0)
+                    if c > congestion:
+                        congestion = c
+                    v = p
             tree = SteinerTree(root=u, parent=tree_parent)
             clusters.append(WeakCluster(np.asarray(members, dtype=np.int64), tree, depth))
     clusters.reverse()
-    return clusters, dead, max_rounds
+    return clusters, dead, max_rounds, congestion

@@ -203,3 +203,22 @@ def dense_verify_weak_carving(g: Graph, mask: NodeMask, w, eps: float) -> list[V
 def dense_no_large_lowdiam_component(g: Graph, r: int, t: int) -> bool:
     ball_sizes = (_dense_distances(g) <= r).sum(axis=1)
     return bool(ball_sizes.max() < t)
+
+
+def tree_edge_uses(w) -> tuple[int, int, bool]:
+    """Tree-edge multiplicities of a weak carving, counted in plain dicts:
+    the most cluster trees holding one edge (1 when no tree has an edge),
+    the same with an edge's two orientations counted apart, and whether a
+    node is a child under two different parents."""
+    undirected: dict[tuple[int, int], int] = {}
+    directed: dict[tuple[int, int], int] = {}
+    first_parent: dict[int, int] = {}
+    second_parent = False
+    for cl in w.clusters:
+        for c, p in cl.tree.parent.items():
+            c, p = int(c), int(p)
+            e = (min(c, p), max(c, p))
+            undirected[e] = undirected.get(e, 0) + 1
+            directed[c, p] = directed.get((c, p), 0) + 1
+            second_parent |= first_parent.setdefault(c, p) != p
+    return max(undirected.values(), default=1), max(directed.values(), default=1), second_parent

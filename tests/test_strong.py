@@ -396,3 +396,31 @@ def test_parallel_merge_equals_per_component_replay():
             carve_strong(g, mask, 0.5, 3, linial_saks_black_box)
         )
     assert whole.ledger.total_rounds == max(p.ledger.total_rounds for p in parts)
+
+
+def test_part_masks_carry_their_component():
+    # the black box is handed each part as a mask that answers the split
+    # without a traversal on the graph it was found in, and only there
+    from netdecomp import connected_components, graph_from_edges
+
+    from conftest import uf_components
+
+    g = generate("path", n=1000)
+    masks = []
+
+    def keep_mask(g_, mask, eps, seed):
+        masks.append(mask)
+        return linial_saks_black_box(g_, mask, eps, seed)
+
+    carve_strong(g, NodeMask.full(g.n), 0.5, 3, keep_mask)
+    assert len(masks) > 1
+    for mask in masks:
+        gen = g.scratch.gen
+        comps = connected_components(g, mask)
+        assert g.scratch.gen == gen
+        assert [frozenset(c.tolist()) for c in comps] == uf_components(g, mask)
+    # no edges: every alive node is its own component there
+    other = graph_from_edges(g.n, [])
+    for mask in masks:
+        comps = connected_components(other, mask)
+        assert [c.tolist() for c in comps] == [[v] for v in mask.node_ids().tolist()]

@@ -16,6 +16,7 @@ from netdecomp import (
 )
 
 from conftest import fuzz_graph, ref_bfs_tree
+from oracles import tree_edge_uses
 
 
 BLACK_BOXES = {"trivial": trivial_black_box, "linial_saks": linial_saks_black_box}
@@ -103,6 +104,31 @@ def test_linial_saks_respects_radius_cap():
         wc, _ = linial_saks_black_box(g, mask, eps, seed)
         assert wc.declared_depth <= r_cap
         assert wc.declared_congestion <= r_cap
+
+
+def test_linial_saks_declares_exact_congestion():
+    # declared congestion is the largest tree-edge multiplicity, not just a
+    # bound on it; the corpus reaches a shared edge held in both
+    # orientations where that decides the maximum, a child under a second
+    # parent, and disconnected graphs (one congestion per component)
+    graphs = [generate("gnp", s, n=150, p=0.04) for s in range(3)]
+    graphs += [generate("gnp", s, n=300, p=0.01) for s in range(3)]
+    graphs += [generate("grid", rows=12, cols=15), generate("grid", rows=4, cols=60)]
+    graphs.append(generate("path", n=200))
+    seen = set()
+    reversed_decides = second_parents = 0
+    for g in graphs:
+        mask = NodeMask.full(g.n)
+        for eps in (0.05, 0.2, 0.5):
+            for seed in range(6):
+                wc, _ = linial_saks_black_box(g, mask, eps, seed)
+                most, most_one_way, second_parent = tree_edge_uses(wc)
+                assert wc.declared_congestion == most, (g.n, eps, seed)
+                seen.add(most)
+                reversed_decides += most_one_way < most
+                second_parents += second_parent
+    assert seen >= {1, 2, 3, 4, 5, 6, 7}, seen
+    assert reversed_decides and second_parents
 
 
 def test_linial_saks_clusters_non_adjacent_exhaustive():
