@@ -45,20 +45,34 @@ class Mutant:
 MUTANTS = (
     Mutant(
         "local CSR keeps targets outside the set",
-        "graph.py",
+        "verify.py",
         "keep = dst >= 0",
         "keep = dst >= -1",
         (
-            "tests/test_graph.py::test_induced_diameter_matches_floyd_warshall",
-            "tests/test_graph.py::test_local_graph_matches_dict_induced_subgraph",
+            "tests/test_verify.py::test_induced_diameter_matches_floyd_warshall",
+            "tests/test_verify.py::test_local_graph_matches_dict_induced_subgraph",
         ),
     ),
     Mutant(
         "bitset diameter off by one",
-        "graph.py",
+        "verify.py",
         "            return diameter\n",
         "            return diameter + 1\n",
-        ("tests/test_graph.py::test_induced_diameter_matches_floyd_warshall",),
+        ("tests/test_verify.py::test_induced_diameter_matches_floyd_warshall",),
+    ),
+    Mutant(
+        "numpy BFS layer re-reaches the source",
+        "verify.py",
+        "nb = nb[dist[nb] < 0]",
+        "nb = nb[dist[nb] <= 0]",
+        ("tests/test_verify.py::test_induced_diameter_numpy_layers_match_floyd_warshall",),
+    ),
+    Mutant(
+        "certified upper bound labelled exact",
+        "verify.py",
+        "return DiameterResult(ub, True, False)",
+        "return DiameterResult(ub, True, True)",
+        ("tests/test_verify.py::test_induced_diameter_bound_when_budget_runs_out",),
     ),
     Mutant(
         "halving ties go to S1",

@@ -17,7 +17,6 @@ from .graph import (
     from_text,
     generate,
     graph_from_edges,
-    induced_diameter,
     to_text,
 )
 from .ledger import (
@@ -59,6 +58,7 @@ from .decompose import (
 from .verify import (
     Violation,
     Violations,
+    induced_diameter,
     no_large_lowdiam_component,
     verify_decomposition,
     verify_strong_carving,

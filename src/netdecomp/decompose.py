@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .graph import Graph, NodeMask
 # Never called here; kept because perfbench/spans.py wraps this name by path.
-from .graph import induced_diameter  # noqa: F401
+from .verify import induced_diameter  # noqa: F401
 from .ledger import RoundLedger
 from .refine import refine
 from .seeding import derive_seed

@@ -1,10 +1,10 @@
-"""Graph representation, BFS machinery, components, and generators.
+"""Graph representation, the algorithms' BFS machinery, generators, text I/O.
 
 The graph is immutable: a simple undirected graph over dense node ids
 0..n-1 stored both as CSR arrays (for vectorized work) and as plain
 adjacency lists (for the scalar BFS loops that dominate the algorithms).
 Subgraphs are never materialized; every traversal takes a NodeMask and
-only walks alive->alive edges.
+only walks alive->alive edges. Diameters are measured by `verify.py`.
 """
 
 from __future__ import annotations
@@ -13,16 +13,14 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "Graph",
     "NodeMask",
-    "DiameterResult",
     "connected_components",
-    "induced_diameter",
     "KINDS",
     "generate",
     "complete_graph",
@@ -43,12 +41,12 @@ class Graph:
 
     Invariants: no self-loops, no multi-edges, u in adj(v) iff v in adj(u),
     neighbor lists sorted ascending. The edges never change after
-    construction. The CSR arrays serve numpy work (subgraph copies, text
-    output); `adj` holds the same lists as Python lists for the scalar BFS
-    loops, which walk them three to four times faster than slices of the
-    CSR. Every traversal the algorithms run on the graph reuses its one
-    `scratch` workspace, so at most one traversal may run on a graph at a
-    time; no library code uses threads.
+    construction. The CSR arrays serve numpy work (the verifiers' subgraph
+    copies, text output); `adj` holds the same lists as Python lists for the
+    scalar BFS loops, which walk them three to four times faster than slices
+    of the CSR. Every traversal the algorithms run on the graph reuses its
+    one `scratch` workspace, which the verifiers never touch, so at most one
+    traversal may run on a graph at a time; no library code uses threads.
     """
 
     n: int
@@ -398,254 +396,6 @@ def connected_components(g: Graph, mask: NodeMask) -> list[np.ndarray]:
             comp.sort()
             comps.append(np.asarray(comp, dtype=np.int64))
     return comps
-
-
-# ----------------------------------------------------------------------------
-# Induced diameter
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiameterResult:
-    value: int
-    connected: bool
-    exact: bool
-
-
-# Most BFS runs one induced_diameter call spends on sweeps and iFUB.
-_BFS_BUDGET = 16
-
-# Largest node set that the bitset kernel finishes exactly when the bounds
-# have not met within the budget.
-_EXACT_THRESHOLD = 5000
-
-# Frontier size from which induced_diameter expands a BFS layer in numpy
-# rather than node by node. One layer costs the same either way at about 64
-# frontier nodes on the gnp-wide giant cluster (mean degree 8) and about 96
-# on grid 64x64 (degree 4); 80 keeps the grid within a few percent of the
-# node loop and costs the giant cluster about 2% against 64.
-_WIDE = 80
-
-
-def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
-    """Diameter of the subgraph induced by `nodes`.
-
-    Every BFS runs over a compact local copy of the induced subgraph. A BFS
-    from the lowest node decides `connected`. A BFS layer whose frontier
-    holds at least _WIDE nodes is expanded in numpy, a narrower one node by
-    node; a set whose first BFS has no such layer runs every BFS as a plain
-    list BFS. Two double sweeps (x -> the farthest a -> the farthest b, the
-    second from the node nearest both a and b) give a lower bound, and the
-    node nearest all four sweep ends is the root of iFUB (Crescenzi,
-    Grossi, Habib, Lanzi & Marino, TCS 2013): the eccentricities of the
-    root's BFS levels, deepest first, raise the lower bound until it meets
-    the upper bound 2 * (level - 1).
-
-    If the bounds have not met within _BFS_BUDGET runs, a set of at most
-    _EXACT_THRESHOLD nodes is finished exactly by a bitset all-pairs BFS;
-    a larger set returns the certified upper bound with exact=False.
-
-    A disconnected set has no finite diameter: the result has
-    connected=False, exact=False and the eccentricity of the lowest node
-    within its own component as value.
-    """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    k = int(nodes.size)
-    if k == 0:
-        raise ValueError("empty node set")
-    _check_sorted_ids(nodes, g.n)
-    local = _LocalGraph(g, nodes)
-
-    dist0 = _layered_bfs(local, 0)
-    if min(dist0) < 0:
-        return DiameterResult(max(dist0), False, False)
-    dists = {0: dist0}
-    # a connected set whose first BFS stayed narrow has had all its rows
-    # built by it, and keeps the plain list BFS
-    rows = local.rows
-
-    def bfs(v: int) -> list[int]:
-        return _layered_bfs(local, v) if local.wide else _local_bfs(rows, v)
-
-    def sweep(v: int) -> list[int]:
-        if v not in dists:
-            dists[v] = bfs(v)
-        return dists[v]
-
-    def farthest(dist: list[int]) -> int:
-        return dist.index(max(dist))
-
-    def nearest(*ds: list[int]) -> int:
-        worst = list(map(max, *ds))
-        return worst.index(min(worst))
-
-    da = sweep(farthest(dist0))
-    db = sweep(farthest(da))
-    da2 = sweep(farthest(sweep(nearest(da, db))))
-    db2 = sweep(farthest(da2))
-    du = sweep(nearest(da, db, da2, db2))
-    ecc = {v: max(d) for v, d in dists.items()}
-    i = max(du)
-    levels: list[list[int]] = [[] for _ in range(i + 1)]
-    for v, d in enumerate(du):
-        levels[d].append(v)
-
-    # a pair with an end deeper than level i is within that end's
-    # eccentricity (in `ecc`, so at most lb); two nodes at levels <= i are
-    # within 2 * i through the root: the diameter is at most max(lb, 2 * i)
-    while True:
-        lb = max(ecc.values())
-        ub = min(2 * min(ecc.values()), max(lb, 2 * i))
-        if lb >= ub:
-            return DiameterResult(lb, True, True)
-        fringe = [z for z in levels[i] if z not in ecc]
-        if len(ecc) + len(fringe) > _BFS_BUDGET:
-            break
-        for z in fringe:
-            ecc[z] = max(bfs(z))
-        i -= 1
-    if k <= _EXACT_THRESHOLD:
-        return DiameterResult(_diameter_bitset(local), True, True)
-    return DiameterResult(ub, True, False)
-
-
-class _LocalGraph:
-    """A node set's induced subgraph in local ids 0..k-1: its CSR arrays `ip`
-    and `dst`, the same as Python lists, and `rows[x]`, the adjacency list
-    of x once a narrow BFS layer has expanded x (None before). `wide` turns
-    true when a BFS first expands a layer in numpy. It is built from the
-    rows of the sorted, distinct `nodes` in `g`, each target mapped to its
-    local id or dropped (-1: not in the set); the targets kept up to each
-    row's end give `ip`."""
-
-    __slots__ = ("ip", "dst", "ip_list", "dst_list", "rows", "wide")
-
-    def __init__(self, g: Graph, nodes: np.ndarray):
-        pos = np.full(g.n, -1, dtype=np.int64)
-        pos[nodes] = np.arange(nodes.size)
-        targets, ends = _gather_rows(g.indptr, g.indices, nodes)
-        dst = pos[targets]
-        keep = dst >= 0
-        kept = np.zeros(dst.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
-        self.ip = np.zeros(nodes.size + 1, dtype=np.int64)
-        self.ip[1:] = kept[ends]
-        self.dst = dst[keep]
-        self.ip_list, self.dst_list = self.ip.tolist(), self.dst.tolist()
-        self.rows: list = [None] * nodes.size
-        self.wide = False
-
-
-def _gather_rows(ip: np.ndarray, targets: np.ndarray, rows: np.ndarray) -> tuple:
-    """The CSR rows `rows` (at least one) of (ip, targets), concatenated in
-    order, and the end of each row in the result."""
-    lo = ip[rows]
-    cnt = ip[rows + 1] - lo
-    ends = np.cumsum(cnt)
-    return targets[np.repeat(lo - ends + cnt, cnt) + np.arange(int(ends[-1]))], ends
-
-
-def _layered_bfs(local: _LocalGraph, s: int) -> list[int]:
-    """Hop distances from `s` over `local`; -1 if unreached.
-
-    A layer of fewer than _WIDE nodes is expanded node by node over a
-    Python list of distances, building the rows it reads; a wider one by
-    `_wide_layer` over a numpy array of distances. A target of layer d lies
-    in layer d - 1, d or d + 1, so a switch either way hands over only the
-    last two layers; the list's nodes are written into the array once, at
-    the end.
-    """
-    ip, targets, rows = local.ip_list, local.dst_list, local.rows
-    k = len(rows)
-    dist = [-1] * k
-    dist[s] = 0
-    arr = None
-    fresh = [s]  # the nodes reached node by node, for the merge at the end
-    prev, frontier = [], [s]
-    d = 0
-    while True:
-        while 0 < len(frontier) < _WIDE:
-            d += 1
-            nxt = []
-            for x in frontier:
-                row = rows[x]
-                if row is None:
-                    rows[x] = row = targets[ip[x] : ip[x + 1]]
-                for y in row:
-                    if dist[y] < 0:
-                        dist[y] = d
-                        nxt.append(y)
-            fresh += nxt
-            prev, frontier = frontier, nxt
-        if not frontier:
-            break
-        if arr is None:
-            local.wide = True
-            arr = np.full(k, -1, dtype=np.int64)
-        arr[prev] = d - 1
-        arr[frontier] = d
-        while len(frontier) >= _WIDE:
-            d += 1
-            prev, frontier = frontier, _wide_layer(local, arr, frontier, d)
-        for at, layer in ((d - 1, prev), (d, frontier)):
-            for y in np.asarray(layer).tolist():
-                dist[y] = at
-        frontier = frontier.tolist()
-    if arr is None:
-        return dist
-    arr[fresh] = [dist[y] for y in fresh]
-    return arr.tolist()
-
-
-def _wide_layer(local: _LocalGraph, dist: np.ndarray, frontier, d: int) -> np.ndarray:
-    """Expand the BFS layer `frontier` (distance d - 1) in numpy: gather the
-    frontier's rows, keep the targets not yet reached, set their distance to
-    d in `dist` and return them, ascending and without repeats."""
-    nb, _ = _gather_rows(local.ip, local.dst, np.asarray(frontier, dtype=np.int64))
-    nb = nb[dist[nb] < 0]
-    dist[nb] = d
-    # sorting a few targets beats a scan of all k distances (on a 70 x 600
-    # grid), and the scan beats sorting many (on the gnp-wide giant cluster)
-    return np.unique(nb) if nb.size * 64 < dist.size else np.flatnonzero(dist == d)
-
-
-def _local_bfs(adj: list[list[int]], s: int) -> list[int]:
-    """Hop distances from `s` over local adjacency lists; -1 if unreached."""
-    dist = [-1] * len(adj)
-    dist[s] = 0
-    frontier = [s]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if dist[y] < 0:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    return dist
-
-
-def _diameter_bitset(local: _LocalGraph) -> int:
-    """Exact diameter of a connected local subgraph with k >= 2 nodes, by an
-    all-pairs BFS batched in bitsets (one uint64 lane per source,
-    OR-propagated along edges): one numpy step per distance. No row of such
-    a subgraph is empty, so the row starts `ip[:-1]` are the reduceat runs."""
-    k = len(local.rows)
-    words = (k + 63) // 64
-    reach = np.zeros((k, words), dtype=np.uint64)
-    lanes = np.arange(k, dtype=np.uint64)
-    reach[np.arange(k), (lanes // np.uint64(64)).astype(np.int64)] = (
-        np.uint64(1) << (lanes % np.uint64(64))
-    )
-    diameter = 0
-    while True:
-        updated = reach | np.bitwise_or.reduceat(reach[local.dst], local.ip[:-1], axis=0)
-        if np.array_equal(updated, reach):
-            return diameter
-        reach = updated
-        diameter += 1
 
 
 # ----------------------------------------------------------------------------

@@ -4,8 +4,10 @@ verifiers built on them, for double-implementation checks.
 Every adjacency and every distance here is read off `fw_distances`: the
 whole graph's matrix gives adjacency (distance 1), and a cluster passed as
 `alive` gives its induced geometry. Nothing shares traversal code with the
-library; `tests/test_imports.py` holds this module to importing only
-`Graph`, `NodeMask` and `Violation` from it. The twins refuse graphs of more
+library, neither with the algorithms nor with the fast verifiers and their
+`induced_diameter` in `verify.py`; `tests/test_imports.py` holds this module
+to importing only `Graph`, `NodeMask` and `Violation` from it, and
+`verify.py` to importing no traversal code from `graph.py`. The twins refuse graphs of more
 than 500 nodes. For the same input a twin must report the same multiset of
 violation kinds as its fast verifier. Like the fast verifiers, a twin
 reports a node id outside 0..n-1 in the partition check only, and keeps it

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from netdecomp import generate, induced_diameter, refined_diameter_bound, weak
-from netdecomp import graph as graphmod
+from netdecomp import verify as verifymod
 from netdecomp.cli import cli_main
 
 
@@ -467,8 +467,8 @@ def test_decompose_measures_each_cluster_once(tmp_path, monkeypatch):
 def test_certified_bound_written_as_inexact(tmp_path, monkeypatch):
     # with a tiny BFS budget and no exact finisher, the giant G(n,p) cluster
     # only gets a certified upper bound
-    monkeypatch.setattr(graphmod, "_BFS_BUDGET", 7)
-    monkeypatch.setattr(graphmod, "_EXACT_THRESHOLD", 0)
+    monkeypatch.setattr(verifymod, "_BFS_BUDGET", 7)
+    monkeypatch.setattr(verifymod, "_EXACT_THRESHOLD", 0)
     gfile = tmp_path / "g.g"
     dfile = tmp_path / "d.json"
     run(["gen", "--type", "gnp", "--n", "120", "--p", "0.05", "--seed", "4", "--out", str(gfile)])

@@ -11,10 +11,10 @@ package's public surface.
 `netdecomp`, and nothing else: an oracle that called the library's
 traversals or diameter code would share the faults it is there to catch.
 For the same reason the verifiers share no traversal code with the
-algorithms: `verify.py` takes only `Graph`, `NodeMask`, the edge reader
-`_edge_array` and `induced_diameter` from the package, and
-`induced_diameter`, with every definition of `graph.py` it reaches by name,
-names none of the algorithms' traversal machinery.
+algorithms. `verify.py`, which holds the diameter measurement too, takes
+only `Graph`, `NodeMask`, the edge reader `_edge_array` and the id check
+`_check_sorted_ids` from the package, and names no traversal workspace,
+the one piece of the algorithms' machinery that a data type hands out.
 """
 
 from __future__ import annotations
@@ -28,18 +28,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "netdecomp").glob("*.py") if p.name != "__init__.py")
 ORACLE_IMPORTS = {"Graph", "NodeMask", "Violation"}
-VERIFY_IMPORTS = {"Graph", "NodeMask", "_edge_array", "induced_diameter"}
-# the BFS kernel, workspace, components scan, census, claim and preorder
-# that the algorithms traverse with
-ALGORITHM_TRAVERSALS = {
-    "_bfs_layers",
-    "Scratch",
-    "scratch",
-    "connected_components",
-    "_census",
-    "_claim",
-    "_preorder",
-}
+VERIFY = ROOT / "src" / "netdecomp" / "verify.py"
+VERIFY_IMPORTS = {"Graph", "NodeMask", "_edge_array", "_check_sorted_ids"}
+# the algorithms' traversal workspace, `Graph.scratch`
+WORKSPACE = {"scratch", "Scratch"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -68,34 +60,6 @@ def library_imports(source: str) -> set[str]:
             node.level > 0 or (node.module or "").split(".")[0] == "netdecomp"
         ):
             names.update(a.name for a in node.names)
-    return names
-
-
-def reached_names(source: str, entry: str) -> set[str]:
-    """Every name (variable or attribute) mentioned by the top-level
-    definition `entry` of `source` and by each top-level definition it
-    reaches by name, transitively. Type annotations are not followed."""
-    tree = ast.parse(source)
-    defs = {d.name: d for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
-    annotations = set()
-    for node in ast.walk(tree):
-        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
-            if ann is not None:
-                annotations.update(map(id, ast.walk(ann)))
-    names, todo, done = set(), [entry], set()
-    while todo:
-        name = todo.pop()
-        if name in done:
-            continue
-        done.add(name)
-        for node in ast.walk(defs[name]):
-            if id(node) in annotations:
-                continue
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-        todo.extend(names & defs.keys())
     return names
 
 
@@ -133,24 +97,13 @@ def test_oracles_import_only_the_data_types():
     assert names <= ORACLE_IMPORTS, f"oracles.py imports {sorted(names - ORACLE_IMPORTS)}"
 
 
-def test_reached_names_follows_calls_but_not_annotations():
-    source = (
-        "def entry(g: Scratch):\n    return helper(g)\n"
-        "def helper(g):\n    return g.scratch\n"
-        "def unused():\n    return _bfs_layers\n"
-        "class Scratch:\n    x = _census\n"
-    )
-    names = reached_names(source, "entry")
-    assert {"helper", "scratch"} <= names
-    assert not {"Scratch", "_bfs_layers", "_census"} & names
-
-
-def test_verify_imports_only_the_data_types_edge_reader_and_diameter():
-    names = library_imports((ROOT / "src" / "netdecomp" / "verify.py").read_text(encoding="utf-8"))
+def test_verify_imports_only_the_data_types():
+    names = library_imports(VERIFY.read_text(encoding="utf-8"))
     assert names <= VERIFY_IMPORTS, f"verify.py imports {sorted(names - VERIFY_IMPORTS)}"
 
 
-def test_induced_diameter_shares_no_traversal_with_the_algorithms():
-    source = (ROOT / "src" / "netdecomp" / "graph.py").read_text(encoding="utf-8")
-    shared = reached_names(source, "induced_diameter") & ALGORITHM_TRAVERSALS
-    assert not shared, f"induced_diameter reaches {sorted(shared)}"
+def test_verify_names_no_workspace():
+    tree = ast.parse(VERIFY.read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & WORKSPACE, f"verify.py names {sorted(names & WORKSPACE)}"

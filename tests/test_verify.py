@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from netdecomp import (
     complete_graph,
     decompose,
     generate,
+    graph_from_edges,
+    induced_diameter,
     linial_saks_black_box,
     make_refined_carver,
     no_large_lowdiam_component,
@@ -22,15 +26,16 @@ from netdecomp import (
     verify_strong_carving,
     verify_weak_carving,
 )
-from netdecomp import graph as graphmod
+from netdecomp import verify as verifymod
 from netdecomp.decompose import DecompCluster, NetworkDecomposition
 
-from conftest import count_calls
+from conftest import count_calls, fuzz_graph, largest_component_graph
 from oracles import (
     dense_no_large_lowdiam_component,
     dense_verify_decomposition,
     dense_verify_strong_carving,
     dense_verify_weak_carving,
+    fw_distances,
 )
 
 
@@ -152,10 +157,10 @@ def test_giant_gnp_cluster_measured_with_numpy_layers(monkeypatch):
     d, _ = decompose(g, 0, make_refined_carver(linial_saks_black_box))
     giant = max(d.clusters, key=lambda c: c.nodes.size)
     assert giant.nodes.size > 5000
-    calls = count_calls(monkeypatch, graphmod, "_wide_layer")
+    calls = count_calls(monkeypatch, verifymod, "_wide_layer")
     res = verify_decomposition(g, d, 10, refined_diameter_bound(g.n, 0.5))
     assert res == []
-    assert res.diameters[giant.id] == graphmod.DiameterResult(12, True, False)
+    assert res.diameters[giant.id] == verifymod.DiameterResult(12, True, False)
     assert calls["_wide_layer"] > 0
 
 
@@ -366,3 +371,137 @@ def test_dense_twin_agrees_on_weak_cases():
         fast = _kinds(verify_weak_carving(g, mask, w, 0.5))
         slow = _kinds(dense_verify_weak_carving(g, mask, w, 0.5))
         assert fast == slow, (tree, fast, slow)
+
+
+# ----------------------------------------------------------------------------
+# induced diameter
+# ----------------------------------------------------------------------------
+
+
+def _fuzz_node_set(rng: np.random.Generator) -> tuple:
+    """A fuzz graph of at most 120 nodes and a node set in it: the whole
+    graph, its largest component or a random subset (often disconnected)."""
+    pick = int(rng.integers(3))
+    g = fuzz_graph(rng, max_n=120, connected=pick == 1)
+    if pick < 2:
+        return g, list(range(g.n))
+    k = int(rng.integers(1, g.n + 1))
+    return g, sorted(rng.choice(g.n, size=k, replace=False).tolist())
+
+
+def _floyd_warshall_corpus(monkeypatch) -> collections.Counter:
+    """Measure every set of the fuzz corpus against Floyd-Warshall twice:
+    with the module's budget and finisher (always exact) and with a budget
+    of 7 runs and no bitset finisher (exact, or a certified upper bound
+    labelled inexact). Returns how each set was settled."""
+    calls = count_calls(monkeypatch, verifymod, "_diameter_bitset")
+    seen = collections.Counter()
+    rng = np.random.default_rng(13)
+    for _ in range(220):
+        g, nodes = _fuzz_node_set(rng)
+        sub = fw_distances(g, alive=set(nodes))[np.ix_(nodes, nodes)]
+        true_d = int(sub.max())
+        before = calls["_diameter_bitset"]
+        res = induced_diameter(g, nodes)
+        assert res.connected == (true_d < 10**9)
+        if not res.connected:
+            assert not res.exact
+            seen["disconnected"] += 1
+            continue
+        assert res.exact and res.value == true_d
+        seen["bitset" if calls["_diameter_bitset"] > before else "bounds met"] += 1
+        with monkeypatch.context() as m:
+            m.setattr(verifymod, "_BFS_BUDGET", 7)
+            m.setattr(verifymod, "_EXACT_THRESHOLD", 0)
+            res = induced_diameter(g, nodes)
+        if res.exact:
+            assert res.value == true_d
+        else:
+            assert res.value >= true_d
+            seen["bound"] += 1
+    return seen
+
+
+def test_induced_diameter_matches_floyd_warshall(monkeypatch):
+    seen = _floyd_warshall_corpus(monkeypatch)
+    assert set(seen) == {"disconnected", "bounds met", "bitset", "bound"}, seen
+
+
+@pytest.mark.parametrize("wide", [1, 3])
+def test_induced_diameter_numpy_layers_match_floyd_warshall(monkeypatch, wide):
+    # _WIDE = 1 expands every layer in numpy; 3 switches back and forth
+    # between the two kernels within one BFS on most fuzz sets
+    monkeypatch.setattr(verifymod, "_WIDE", wide)
+    calls = count_calls(monkeypatch, verifymod, "_wide_layer")
+    seen = _floyd_warshall_corpus(monkeypatch)
+    assert set(seen) == {"disconnected", "bounds met", "bitset", "bound"}, seen
+    assert calls["_wide_layer"] > 0
+
+
+def _dict_local_graph(g, nodes) -> tuple[list[int], list[int]]:
+    """The subgraph induced by the sorted `nodes` in local ids, built from
+    dicts: its row starts and its sorted rows, concatenated."""
+    local = {v: i for i, v in enumerate(nodes)}
+    rows = [sorted(local[w] for w in g.adj[v] if w in local) for v in nodes]
+    ip = [0]
+    for row in rows:
+        ip.append(ip[-1] + len(row))
+    return ip, [y for row in rows for y in row]
+
+
+def test_local_graph_matches_dict_induced_subgraph():
+    rng = np.random.default_rng(29)
+    cases = [_fuzz_node_set(rng) for _ in range(150)]
+    # nodes 3 and 5 are isolated in g; ids 0 and n - 1 = 6 are in the sets
+    g = graph_from_edges(7, [(0, 1), (1, 2), (4, 6)])
+    for nodes in ([0], [3], [6], [3, 5], [0, 2, 3, 4], [0, 6], [4, 6], list(range(7))):
+        cases.append((g, nodes))
+    for g, nodes in cases:
+        local = verifymod._LocalGraph(g, np.asarray(nodes, dtype=np.int64))
+        ip, dst = _dict_local_graph(g, nodes)
+        assert local.ip.tolist() == local.ip_list == ip
+        assert local.dst.tolist() == local.dst_list == dst
+        assert local.rows == [None] * len(nodes) and not local.wide
+
+
+def test_induced_diameter_bound_when_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(verifymod, "_BFS_BUDGET", 7)
+    monkeypatch.setattr(verifymod, "_EXACT_THRESHOLD", 0)
+    g = largest_component_graph(generate("gnp", seed=4, n=120, p=0.05))
+    res = induced_diameter(g, range(g.n))
+    assert res.connected and res.exact is False
+    assert res.value >= fw_distances(g).max()
+
+
+def test_induced_diameter_rejects_out_of_range_ids():
+    g = generate("path", n=5)
+    for nodes, bad in (([7], 7), ([-1, 0], -1)):
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            induced_diameter(g, nodes)
+
+
+def test_induced_diameter_exact_on_grid_and_long_path(monkeypatch):
+    calls = count_calls(monkeypatch, verifymod, "_wide_layer")
+    # the first BFS, from corner 0, meets diagonals of at most `rows` nodes:
+    # narrower than _WIDE on 64 x 64, which then runs list BFS only
+    for rows, wide in ((64, False), (100, True)):
+        g = generate("grid", rows=rows, cols=rows)
+        want = verifymod.DiameterResult(2 * rows - 2, True, True)
+        assert induced_diameter(g, range(g.n)) == want
+        assert (calls["_wide_layer"] > 0) == wide
+        calls["_wide_layer"] = 0
+    g = generate("path", n=20000)
+    assert induced_diameter(g, range(g.n)) == verifymod.DiameterResult(19999, True, True)
+    assert calls["_wide_layer"] == 0  # a thin set runs list BFS only
+
+
+def test_induced_diameter_switches_kernels_both_ways(monkeypatch):
+    # a 200-clique on nodes 0..199 with a 5000-node tail from node 199: a BFS
+    # from the tail's end meets the clique as one wide layer after 5000
+    # narrow ones, and one from inside the clique goes wide, then narrow
+    clique = np.column_stack(np.triu_indices(200, k=1))
+    tail = np.arange(199, 5199)
+    g = graph_from_edges(5200, np.concatenate((clique, np.column_stack((tail, tail + 1)))))
+    calls = count_calls(monkeypatch, verifymod, "_wide_layer")
+    assert induced_diameter(g, range(g.n)) == verifymod.DiameterResult(5001, True, True)
+    assert calls["_wide_layer"] > 0
