@@ -110,6 +110,20 @@ MUTANTS = (
         ("tests/test_weak.py::test_linial_saks_declares_exact_congestion",),
     ),
     Mutant(
+        "numpy BFS layer takes each node's last discoverer",
+        "graph.py",
+        "np.minimum.at(first, new, hit)",
+        "np.maximum.at(first, new, hit)",
+        ("tests/test_graph.py::test_bfs_kernel_numpy_layers_match_the_node_loop[1]",),
+    ),
+    Mutant(
+        "numpy census layer stops one discovery late",
+        "graph.py",
+        "if 0 < need <= len(new):",
+        "if 0 < need < len(new):",
+        ("tests/test_graph.py::test_census_numpy_layers_match_the_reference[1]",),
+    ),
+    Mutant(
         "a part mask answers the split on any graph",
         "graph.py",
         "if mask._component_of is g:",

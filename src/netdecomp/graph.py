@@ -41,12 +41,14 @@ class Graph:
 
     Invariants: no self-loops, no multi-edges, u in adj(v) iff v in adj(u),
     neighbor lists sorted ascending. The edges never change after
-    construction. The CSR arrays serve numpy work (the verifiers' subgraph
-    copies, text output); `adj` holds the same lists as Python lists for the
-    scalar BFS loops, which walk them three to four times faster than slices
-    of the CSR. Every traversal the algorithms run on the graph reuses its
-    one `scratch` workspace, which the verifiers never touch, so at most one
-    traversal may run on a graph at a time; no library code uses threads.
+    construction. The CSR arrays serve numpy work: the verifiers' subgraph
+    copies, text output, and the BFS layers of at least `_WIDE_LAYER` nodes
+    that the algorithms' kernels expand in numpy. `adj` holds the same lists
+    as Python lists for the scalar BFS loops, which walk them three to four
+    times faster than slices of the CSR. Every traversal the algorithms run
+    on the graph reuses its one `scratch` workspace, which the verifiers
+    never touch, so at most one traversal may run on a graph at a time; no
+    library code uses threads.
     """
 
     n: int
@@ -63,16 +65,16 @@ class Graph:
     def adj(self) -> tuple:
         """Adjacency as a tuple of python lists (built once, cached)."""
         if self._adj is None:
-            ip = self.indptr
+            ip = self.indptr.tolist()
             idx = self.indices.tolist()
-            self._adj = tuple(idx[ip[v] : ip[v + 1]] for v in range(self.n))
+            self._adj = tuple(idx[a:b] for a, b in zip(ip, ip[1:]))
         return self._adj
 
     @property
     def scratch(self) -> Scratch:
         """The traversal workspace (built once, cached); see `Scratch`."""
         if self._scratch is None:
-            self._scratch = Scratch(self.n)
+            self._scratch = Scratch(self.indptr, self.indices)
         return self._scratch
 
 
@@ -247,21 +249,125 @@ class Scratch:
     v had in them. State is readable only until the next `begin()`: a stage
     may not call into another stage (or any traversal) while it still reads
     the workspace.
+
+    The workspace also holds the graph's CSR (`indptr`, `indices`) for the
+    BFS layers of at least `_WIDE_LAYER` nodes, which `_expand` expands in
+    numpy, and two n-length int64 twins that `widen` allocates on the first
+    such layer: `seen`, the numpy stamp, and `first`, `_expand`'s first
+    gather position per target. The lists stay authoritative: after every
+    traversal, all that its readers read is in `stamp` and `parent`, and no
+    traversal reads a twin's value from an earlier one. A neighbour of a
+    layer-d node lies in layer d - 1, d or d + 1, so a kernel that switches
+    between list and numpy layers hands over the last two layers only:
+    `widen` marks them `seen`, and on the way back the census writes their
+    list stamps (`_bfs_layers` writes every numpy layer's stamps and parents
+    into the lists as it goes).
     """
 
-    __slots__ = ("budget", "stamp", "parent", "up", "uses", "gen")
+    __slots__ = (
+        "budget", "stamp", "parent", "up", "uses", "gen", "indptr", "indices", "seen", "first"
+    )
 
-    def __init__(self, n: int):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        n = len(indptr) - 1
         self.budget = [0] * n
         self.stamp = [0] * n
         self.parent = [0] * n
         self.up = [0] * n
         self.uses = [0] * n
         self.gen = 0
+        self.indptr, self.indices = indptr, indices
+        self.seen = self.first = None
 
     def begin(self) -> int:
         self.gen += 1
         return self.gen
+
+    def widen(self, alive: bytearray, layers: list[int], width: int):
+        """Switch the current traversal to numpy layers. `layers` holds its
+        last two layers, the frontier last, `width` nodes wide; marks them
+        `seen` (allocating the twins on first use) and returns `alive` as a
+        boolean array and the frontier as an int64 array."""
+        if self.seen is None:
+            n = len(self.stamp)
+            self.seen = np.zeros(n, dtype=np.int64)
+            self.first = np.zeros(n, dtype=np.int64)
+        both = np.array(layers, dtype=np.int64)
+        self.seen[both] = self.gen
+        return np.frombuffer(alive, dtype=bool), both[len(both) - width :]
+
+
+# Frontier size from which `_bfs_layers` and the halving census expand a
+# BFS layer in numpy (`_expand`) rather than node by node. Timed on
+# prefixes of real layers, one layer costs the same either way at about 48
+# frontier nodes for the census and 128-192 for `_bfs_layers` (which also
+# writes each node it finds into the lists) on gnp-wide's giant cluster
+# (mean degree 8), and at about 96 on grid 64x64 (degree 4). Replaying the
+# kernel calls of one decompose, 128 keeps grid 64x64 and path-deep's census
+# seed layers (runs of a path's preorder, whose scans find almost nothing)
+# within noise of the node loop, which 64 exceeds by 30% (grid's BFS) and 3%,
+# and costs gnp-wide's census about 8% against 64.
+_WIDE_LAYER = 128
+
+
+def _last_two(touched: list[int], cum: list[int]) -> list[int]:
+    """The last two layers of a layered BFS's (cum, touched), or its one
+    layer."""
+    return touched[cum[-3] if len(cum) > 2 else 0 :]
+
+
+def _expand(scratch: Scratch, alive: np.ndarray, frontier: np.ndarray, need: int = 0):
+    """Expand the BFS layer `frontier` (int64 ids) in numpy, after `widen`.
+
+    Returns (new, parent): the alive targets of the frontier's rows not yet
+    `seen` in the current generation, each once, in FIFO discovery order
+    (the order in which a node-by-node scan of the frontier finds them),
+    and each one's first discoverer in that scan; marks them seen.
+
+    With need > 0 it stops right after the frontier node whose scan brings
+    the count to need, the census's partial-layer rule. The rows are then
+    gathered in chunks: first every row up to the first whose cumulative
+    degree reaches need (no earlier node can stop the scan), at least
+    _WIDE_LAYER rows, then chunks that double, so a stop early in a wide
+    layer gathers little of it.
+    """
+    ip, idx, gen = scratch.indptr, scratch.indices, scratch.gen
+    seen, first = scratch.seen, scratch.first
+    start = ip[frontier]
+    cnt = ip[1:][frontier] - start
+    ends = np.add.accumulate(cnt)
+    off = start - ends + cnt  # gather position p of a row reads idx[off[row] + p]
+    k = len(frontier)
+    size = max(_WIDE_LAYER, int(ends.searchsorted(need)) + 1) if need > 0 else k
+    news, parents = [], []
+    lo = 0
+    while lo < k:
+        hi = min(lo + size, k)
+        base = int(ends[lo - 1]) if lo else 0
+        rows, reps = frontier[lo:hi], cnt[lo:hi]
+        nb = idx[off[lo:hi].repeat(reps) + np.arange(base, int(ends[hi - 1]))]
+        hit = (alive[nb] & (seen[nb] != gen)).nonzero()[0]
+        # keep each target's first gather position: np.minimum.at fixes the
+        # minimum whatever order the fancy assignment writes in
+        new = nb[hit]
+        first[new] = hit
+        np.minimum.at(first, new, hit)
+        hit = hit[first[new] == hit]
+        new = nb[hit]
+        seen[new] = gen
+        if 0 < need <= len(new):
+            # keep what the scans up to the need-th discoverer's found
+            last = ends.searchsorted(base + hit[need - 1], "right")
+            keep = hit.searchsorted(ends[last] - base)
+            hit, new = hit[:keep], new[:keep]
+            hi = k
+        need -= len(new)
+        news.append(new)
+        parents.append(rows.repeat(reps)[hit])
+        lo, size = hi, 2 * size
+    if len(news) == 1:
+        return news[0], parents[0]
+    return np.concatenate(news), np.concatenate(parents)
 
 
 def _bfs_layers(
@@ -280,7 +386,9 @@ def _bfs_layers(
     len(cum) - 1 is the depth reached. scratch.parent[v] is the first
     discoverer of each reached node (-1 for the source), so the parents
     form a BFS tree. Stops early when the frontier dies or when r_max
-    layers were explored.
+    layers were explored. A layer of at least _WIDE_LAYER nodes is
+    expanded by `_expand`, whose nodes and parents are written into the
+    lists, so the result does not depend on which layers went wide.
     """
     gen = scratch.begin()
     stamp, parent = scratch.stamp, scratch.parent
@@ -291,19 +399,31 @@ def _bfs_layers(
     cum = [1]
     # no limit given: a BFS has fewer than n layers and reaches at most n nodes
     max_layers = len(adj) if r_max is None else r_max
-    while len(cum) <= max_layers:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if alive[w] and stamp[w] != gen:
-                    stamp[w] = gen
-                    parent[w] = u
-                    nxt.append(w)
-        if not nxt:
+    while True:
+        while 0 < len(frontier) < _WIDE_LAYER and len(cum) <= max_layers:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if alive[w] and stamp[w] != gen:
+                        stamp[w] = gen
+                        parent[w] = u
+                        nxt.append(w)
+            touched += nxt
+            cum.append(len(touched))
+            frontier = nxt
+        if not frontier or len(cum) > max_layers:
             break
-        touched += nxt
-        cum.append(len(touched))
-        frontier = nxt
+        mask, layer = scratch.widen(alive, _last_two(touched, cum), len(frontier))
+        while len(frontier) >= _WIDE_LAYER and len(cum) <= max_layers:
+            layer, by = _expand(scratch, mask, layer)
+            frontier = layer.tolist()
+            for w, u in zip(frontier, by.tolist()):
+                stamp[w] = gen
+                parent[w] = u
+            touched += frontier
+            cum.append(len(touched))
+    if not frontier:  # the last layer explored is empty
+        cum.pop()
     return cum, touched
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import Graph, NodeMask, _bfs_layers, _pad_saturated, _preorder, _setdiff, _window
-from .graph import _split_at
+from .graph import _WIDE_LAYER, _expand, _last_two, _split_at
 # Never called here; kept because perfbench/spans.py wraps this name by path.
 from .graph import connected_components  # noqa: F401
 from .ledger import RoundLedger, charge_bfs, merge_parallel
@@ -121,7 +121,11 @@ def _census(adj, alive, nodes, scratch, target_times_3: int):
 
     It has its own loop, not `_bfs_layers`, so that the trees, balls and
     preorders do not pay the per-node stop check. It stamps the nodes it
-    reaches in the workspace but writes no `parent`.
+    reaches but writes no `parent`. A layer of at least _WIDE_LAYER nodes,
+    the seed layer included, is expanded in numpy (`_expand`, which applies
+    the same stop rule); the nodes found there are stamped only in the
+    `seen` twin until the census returns to node-by-node layers, which
+    first stamps the part of the last two layers that numpy found.
     """
     stop = (target_times_3 + 2) // 3
     gen = scratch.begin()
@@ -133,21 +137,36 @@ def _census(adj, alive, nodes, scratch, target_times_3: int):
             frontier.append(s)
     touched = list(frontier)
     cum = [len(touched)]
-    while cum[-1] < stop:
-        need = stop - cum[-1]
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if alive[w] and stamp[w] != gen:
-                    stamp[w] = gen
-                    nxt.append(w)
-            if len(nxt) >= need:
-                break
-        if not nxt:
+    while True:
+        while 0 < len(frontier) < _WIDE_LAYER and cum[-1] < stop:
+            need = stop - cum[-1]
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if alive[w] and stamp[w] != gen:
+                        stamp[w] = gen
+                        nxt.append(w)
+                if len(nxt) >= need:
+                    break
+            touched += nxt
+            cum.append(len(touched))
+            frontier = nxt
+        if not frontier or cum[-1] >= stop:
             break
-        touched += nxt
-        cum.append(len(touched))
-        frontier = nxt
+        found = cum[-1]  # touched[found:] is found in numpy, and stamped only in `seen`
+        mask, layer = scratch.widen(alive, _last_two(touched, cum), len(frontier))
+        while len(frontier) >= _WIDE_LAYER and cum[-1] < stop:
+            layer = _expand(scratch, mask, layer, stop - cum[-1])[0]
+            frontier = layer.tolist()
+            touched += frontier
+            cum.append(len(touched))
+        if not frontier or cum[-1] >= stop:
+            break
+        # back to node-by-node layers: stamp what numpy found of the last two
+        for v in touched[max(found, cum[-3] if len(cum) > 2 else 0) :]:
+            stamp[v] = gen
+    if not frontier and len(cum) > 1:  # the last layer explored is empty
+        cum.pop()
     return cum, touched
 
 

@@ -1,5 +1,8 @@
 import collections
+import contextlib
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,14 +15,18 @@ from netdecomp import (
     NodeMask,
     complete_graph,
     connected_components,
+    decompose,
     from_text,
     generate,
     graph_from_edges,
+    linial_saks_black_box,
+    make_refined_carver,
     to_text,
 )
 from netdecomp.refine import _census, _coverage_radius
 
 from conftest import (
+    count_calls,
     fuzz_graph,
     ref_ball_sizes,
     ref_coverage_radius,
@@ -28,6 +35,9 @@ from conftest import (
     uf_components,
 )
 from oracles import fw_distances
+
+# the package's `refine` function shadows the submodule of the same name
+refinemod = importlib.import_module("netdecomp.refine")
 
 
 def _layers(g, mask, source, r_max=None):
@@ -113,6 +123,10 @@ def ref_census(g, alive: set[int], seeds, stop: int) -> tuple[list[int], int]:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_census_stops_at_the_frontier_node_that_reaches_its_target(data):
+    _check_census_against_reference(data)
+
+
+def _check_census_against_reference(data):
     # the layers before the last, the coverage radius, and the BFS order up
     # to the stopping node (so the last, possibly partial, layer) all match
     # an independent BFS; a component smaller than stop is covered whole
@@ -137,6 +151,81 @@ def test_census_stops_at_the_frontier_node_that_reaches_its_target(data):
     order, ref_depth = ref_census(g, alive_set, seeds, stop)
     assert depth == ref_depth
     assert touched == order
+
+
+@contextlib.contextmanager
+def _wide_layer(width: int):
+    """Run the algorithms' BFS kernels with `_WIDE_LAYER` = width (the census
+    reads its own import of the name)."""
+    with mock.patch.object(graphmod, "_WIDE_LAYER", width), mock.patch.object(
+        refinemod, "_WIDE_LAYER", width
+    ):
+        yield
+
+
+def _kernel_state(g, alive, source, r_max):
+    """`_bfs_layers`' cum and touched, each touched node's parent, and
+    whether each touched node carries the traversal's stamp."""
+    scratch = g.scratch
+    cum, touched = graphmod._bfs_layers(g.adj, alive, source, scratch, r_max)
+    gen = scratch.gen
+    return cum, touched, [scratch.parent[v] for v in touched], all(
+        scratch.stamp[v] == gen for v in touched
+    )
+
+
+@pytest.mark.parametrize("wide", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bfs_kernel_numpy_layers_match_the_node_loop(wide, data):
+    # width 1 expands every layer in numpy, 3 switches between the two
+    # within most traversals: layers, BFS order, parents and stamps all
+    # equal the node loop's, and the layers still give the distances
+    g = fuzz_graph(np.random.default_rng(data.draw(st.integers(0, 2**31 - 1))), max_n=60)
+    alive = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+    alive_ids = np.flatnonzero(alive).tolist()
+    assume(alive_ids)
+    source = data.draw(st.sampled_from(alive_ids))
+    r_max = data.draw(st.none() | st.integers(0, g.n))
+    mask = NodeMask(alive)
+    with _wide_layer(g.n + 1):
+        want = _kernel_state(g, mask.as_bytes(), source, r_max)
+        want_cum, want_dist = _layers(g, mask, source, r_max)
+    with _wide_layer(wide):
+        got = _kernel_state(g, mask.as_bytes(), source, r_max)
+        cum, dist = _layers(g, mask, source, r_max)
+    assert got == want and got[3]
+    assert cum == want_cum == got[0] and (dist == want_dist).all()
+
+
+@pytest.mark.parametrize("wide", [1, 3])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_census_numpy_layers_match_the_reference(wide, data):
+    # the census's checks above, with layers and seed lists expanded in
+    # numpy (width 1) or switching between numpy and the node loop (3); the
+    # chunks of a wide layer then start at 1 or 3 rows, so the stop falls
+    # inside, at the end of and after a chunk
+    with _wide_layer(wide):
+        _check_census_against_reference(data)
+
+
+def test_wide_kernels_on_a_gnp_wide_graph_equal_the_node_loop(monkeypatch):
+    # the refined pipeline on a gnp-wide graph: its census, preorder and
+    # ball layers go through the expander, and the clusters and the ledger
+    # equal those of a run whose kernels expand every layer node by node
+    text = to_text(generate("gnp", seed=1, n=20000, p=8 / 20000))
+
+    def run():
+        d, ledger = decompose(from_text(text), 0, make_refined_carver(linial_saks_black_box))
+        return d.to_json(), ledger.to_json()
+
+    with _wide_layer(20001):
+        want = run()
+    calls = count_calls(monkeypatch, graphmod, "_expand")
+    monkeypatch.setattr(refinemod, "_expand", graphmod._expand)
+    assert run() == want
+    assert calls["_expand"] > 0
 
 
 def test_census_broom_stops_mid_layer():

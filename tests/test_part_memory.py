@@ -20,6 +20,7 @@ from netdecomp import (
     connected_components,
     cut_or_cluster,
     generate,
+    graph_from_edges,
     grow_ball,
     linial_saks_black_box,
     trivial_black_box,
@@ -66,6 +67,34 @@ def test_part_sized_call_allocates_part_sized_memory(part, name):
     call, bound = CALLS[name]
     peak = peak_bytes(lambda: call(g, mask))
     assert peak < bound, f"{name} on a 40-node part of {N} nodes peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_part_sized_call_leaves_the_numpy_twins_unallocated(part, name):
+    # no BFS layer of a 40-node part is wide enough for the numpy expander,
+    # whose n-length twins would cost 16 bytes a node of the whole graph
+    g, mask = part
+    CALLS[name][0](g, mask)
+    assert g.scratch.seen is None and g.scratch.first is None
+
+
+def test_wide_traversal_allocates_the_numpy_twins_once_per_graph():
+    # a star's 200 leaves form one wide BFS layer, beside a long path that
+    # makes the twins' 2 * 8n bytes stand out: the first call allocates
+    # them, a later call on the same graph reuses them
+    n = 200_000
+    leaves = [(0, v) for v in range(1, 201)]
+    path = [(v, v + 1) for v in range(201, n - 1)]
+    g = graph_from_edges(n, leaves + path)
+    g.adj
+    star = NodeMask.from_nodes(n, range(201))
+    star.as_bytes()
+    cut_or_cluster(g, star, 0.5)
+    seen, first = g.scratch.seen, g.scratch.first
+    assert seen is not None and first is not None
+    peak = peak_bytes(lambda: cut_or_cluster(g, star, 0.5))
+    assert g.scratch.seen is seen and g.scratch.first is first
+    assert peak < 64 * KIB, f"a wide traversal after the first peaked at {peak} bytes"
 
 
 WIDE_WINDOWS = {
