@@ -11,7 +11,9 @@ exactly once, the snippet's replacement and the pytest node ids that must
 fail on the mutant. The runner copies `src/`, `tests/` and `pyproject.toml`
 into a temporary directory and first runs every named test there on the
 unmutated copy, where all must pass. Then, for each row, it applies the row
-to a fresh copy and runs the row's tests in a subprocess against it. A
+to a fresh copy and runs the row's tests in a subprocess against it. Every
+run uses the `mutants` hypothesis profile of `tests/conftest.py`, which
+reports a fuzz test's first failing example without shrinking it. A
 mutant is killed when every test its row names fails (for a parametrized
 test, at least one of its cases). The runner exits 1 if a snippet no longer
 matches, a named test fails on the unmutated copy or is not found, or a
@@ -54,11 +56,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "bitset diameter off by one",
+        "bitset eccentricities off by one",
         "verify.py",
-        "            return diameter\n",
-        "            return diameter + 1\n",
+        "ecc[bits[: src.size] == 1] = step",
+        "ecc[bits[: src.size] == 1] = step + 1",
         ("tests/test_verify.py::test_induced_diameter_matches_floyd_warshall",),
+    ),
+    Mutant(
+        "array route's farthest node is the last of the tied",
+        "verify.py",
+        "return int(dist.argmax())",
+        "return int(dist.size - 1 - dist[::-1].argmax())",
+        ("tests/test_verify.py::test_array_route_equals_the_list_route[gnp-1]",),
     ),
     Mutant(
         "numpy BFS layer re-reaches the source",
@@ -124,6 +133,13 @@ MUTANTS = (
         ("tests/test_graph.py::test_census_numpy_layers_match_the_reference[1]",),
     ),
     Mutant(
+        "preorder prefix runs on across sibling runs",
+        "graph.py",
+        "before - before[parents.searchsorted(parents)]",
+        "before",
+        ("tests/test_graph.py::test_preorder_read_off_wide_layers_equals_the_walk[1]",),
+    ),
+    Mutant(
         "a part mask answers the split on any graph",
         "graph.py",
         "if mask._component_of is g:",
@@ -145,7 +161,8 @@ def _pytest(copy: Path, tests) -> tuple[int, set[str], str]:
     ids that failed or errored, and the output."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--hypothesis-profile", "mutants", *tests],
         cwd=copy,
         env=env,
         capture_output=True,

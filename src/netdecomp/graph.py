@@ -254,7 +254,8 @@ class Scratch:
     BFS layers of at least `_WIDE_LAYER` nodes, which `_expand` expands in
     numpy, and two n-length int64 twins that `widen` allocates on the first
     such layer: `seen`, the numpy stamp, and `first`, `_expand`'s first
-    gather position per target. The lists stay authoritative: after every
+    gather position per target (and `_preorder`'s BFS position per node,
+    once the BFS is done). The lists stay authoritative: after every
     traversal, all that its readers read is in `stamp` and `parent`, and no
     traversal reads a twin's value from an earlier one. A neighbour of a
     layer-d node lies in layer d - 1, d or d + 1, so a kernel that switches
@@ -467,8 +468,16 @@ def _preorder(
     its children. Preorder is the fixed traversal used wherever nodes of a
     component need a canonical linear order; it lists exactly the root's
     component. The tree's BFS state stays readable in scratch.
+
+    A tree whose layers hold at least _WIDE_LAYER nodes on average is read
+    off the BFS in numpy: the BFS appends each node's children as one
+    ascending run of `touched`, the runs in their parents' BFS order, so a
+    node's preorder position is its parent's plus 1 plus the sizes of the
+    subtrees in its run before it. A narrower tree is walked depth-first.
     """
-    cum, _ = _bfs_layers(adj, alive, root, scratch)
+    cum, touched = _bfs_layers(adj, alive, root, scratch)
+    if len(touched) >= _WIDE_LAYER * len(cum):
+        return _preorder_of_layers(cum, touched, scratch), len(cum) - 1
     gen, stamp, parent = scratch.gen, scratch.stamp, scratch.parent
     order = []
     stack = [root]
@@ -481,6 +490,34 @@ def _preorder(
             if parent[w] == v and stamp[w] == gen:
                 stack.append(w)
     return order, len(cum) - 1
+
+
+def _preorder_of_layers(cum: list[int], touched: list[int], scratch: Scratch) -> list[int]:
+    """`_preorder`'s order of a BFS tree that went through a wide layer (so
+    `first` is allocated), from `_bfs_layers`' (cum, touched) and the
+    parents in scratch. Nodes are indexed by BFS position, which `first`
+    maps each touched node to; a node's parent index, `up`, then grows along
+    `touched`, since the parents' order is the BFS order of their runs."""
+    nodes = np.array(touched, dtype=np.int64)
+    index = scratch.first
+    index[nodes] = np.arange(nodes.size)
+    parent = scratch.parent
+    up = index[np.fromiter(map(parent.__getitem__, touched[1:]), np.int64, nodes.size - 1)]
+    size = np.ones(nodes.size, dtype=np.int64)
+    for r in range(len(cum) - 1, 0, -1):
+        lo, hi = cum[r - 1], cum[r]
+        np.add.at(size, up[lo - 1 : hi - 1], size[lo:hi])
+    pos = np.zeros(nodes.size, dtype=np.int64)
+    for r in range(1, len(cum)):
+        lo, hi = cum[r - 1], cum[r]
+        parents = up[lo - 1 : hi - 1]
+        # the subtree sizes before each node in its run: an exclusive prefix
+        # sum over the layer, less its value at the run's first node
+        before = np.cumsum(size[lo:hi]) - size[lo:hi]
+        pos[lo:hi] = pos[parents] + 1 + before - before[parents.searchsorted(parents)]
+    order = np.empty_like(nodes)
+    order[pos] = nodes
+    return order.tolist()
 
 
 # ----------------------------------------------------------------------------

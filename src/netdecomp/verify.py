@@ -426,6 +426,10 @@ class DiameterResult:
 # Most BFS runs one induced_diameter call spends on sweeps and iFUB.
 _BFS_BUDGET = 16
 
+# A fringe's sweep (`_eccentricities`) has at most _BFS_BUDGET sources, so
+# its lanes fit one uint64 word.
+assert _BFS_BUDGET <= 64
+
 # Largest node set that the bitset kernel finishes exactly when the bounds
 # have not met within the budget.
 _EXACT_THRESHOLD = 5000
@@ -444,13 +448,21 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     Every BFS runs over a compact local copy of the induced subgraph. A BFS
     from the lowest node decides `connected`. A BFS layer whose frontier
     holds at least _WIDE nodes is expanded in numpy, a narrower one node by
-    node; a set whose first BFS has no such layer runs every BFS as a plain
-    list BFS. Two double sweeps (x -> the farthest a -> the farthest b, the
+    node. Two double sweeps (x -> the farthest a -> the farthest b, the
     second from the node nearest both a and b) give a lower bound, and the
     node nearest all four sweep ends is the root of iFUB (Crescenzi,
     Grossi, Habib, Lanzi & Marino, TCS 2013): the eccentricities of the
     root's BFS levels, deepest first, raise the lower bound until it meets
     the upper bound 2 * (level - 1).
+
+    The first BFS picks the representation once. A set whose first BFS has
+    no wide layer runs every BFS as a plain list BFS over Python lists, and
+    measures a level's fringe one BFS per node. A set whose first BFS went
+    wide keeps every distance vector as an int64 array (farthest and
+    nearest nodes by argmax and argmin, which take the first of tied
+    nodes, as a list's index does; a level by flatnonzero), and measures a
+    level's fringe in one bitset sweep, one lane per node
+    (`_eccentricities`). Both give the same result.
 
     If the bounds have not met within _BFS_BUDGET runs, a set of at most
     _EXACT_THRESHOLD nodes is finished exactly by a bitset all-pairs BFS;
@@ -460,7 +472,7 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     connected=False, exact=False and the eccentricity of the lowest node
     within its own component as value.
     """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    nodes = _distinct(np.asarray(nodes, dtype=np.int64))
     k = int(nodes.size)
     if k == 0:
         raise ValueError("empty node set")
@@ -468,38 +480,70 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     local = _LocalGraph(g, nodes)
 
     dist0 = _layered_bfs(local, 0)
-    if min(dist0) < 0:
-        return DiameterResult(max(dist0), False, False)
+    if local.wide:
+        # argmax and argmin take the first of tied entries, as a list's
+        # index does, so both routes pick the same nodes
+        def bfs(v: int) -> np.ndarray:
+            return np.asarray(_layered_bfs(local, v))
+
+        def farthest(dist: np.ndarray) -> int:
+            return int(dist.argmax())
+
+        def nearest(*ds: np.ndarray) -> int:
+            return int(np.max(ds, axis=0).argmin())
+
+        def eccentricity(dist: np.ndarray) -> int:
+            return int(dist.max())
+
+        def leveler(du: np.ndarray):
+            return lambda i: np.flatnonzero(du == i).tolist()
+
+        def fringe_eccentricities(fringe: list[int]) -> list[int]:
+            return _eccentricities(local, fringe).tolist()
+
+    else:
+        # a set whose first BFS stayed narrow has had all its rows built by
+        # it, and keeps the plain list BFS
+        rows = local.rows
+
+        def bfs(v: int) -> list[int]:
+            return _local_bfs(rows, v)
+
+        def farthest(dist: list[int]) -> int:
+            return dist.index(max(dist))
+
+        def nearest(*ds: list[int]) -> int:
+            worst = list(map(max, *ds))
+            return worst.index(min(worst))
+
+        eccentricity = max
+
+        def leveler(du: list[int]):
+            levels: list[list[int]] = [[] for _ in range(max(du) + 1)]
+            for v, d in enumerate(du):
+                levels[d].append(v)
+            return levels.__getitem__
+
+        def fringe_eccentricities(fringe: list[int]) -> list[int]:
+            return [max(bfs(z)) for z in fringe]
+
+    if -1 in dist0:
+        return DiameterResult(eccentricity(dist0), False, False)
     dists = {0: dist0}
-    # a connected set whose first BFS stayed narrow has had all its rows
-    # built by it, and keeps the plain list BFS
-    rows = local.rows
 
-    def bfs(v: int) -> list[int]:
-        return _layered_bfs(local, v) if local.wide else _local_bfs(rows, v)
-
-    def sweep(v: int) -> list[int]:
+    def sweep(v: int):
         if v not in dists:
             dists[v] = bfs(v)
         return dists[v]
-
-    def farthest(dist: list[int]) -> int:
-        return dist.index(max(dist))
-
-    def nearest(*ds: list[int]) -> int:
-        worst = list(map(max, *ds))
-        return worst.index(min(worst))
 
     da = sweep(farthest(dist0))
     db = sweep(farthest(da))
     da2 = sweep(farthest(sweep(nearest(da, db))))
     db2 = sweep(farthest(da2))
     du = sweep(nearest(da, db, da2, db2))
-    ecc = {v: max(d) for v, d in dists.items()}
-    i = max(du)
-    levels: list[list[int]] = [[] for _ in range(i + 1)]
-    for v, d in enumerate(du):
-        levels[d].append(v)
+    ecc = {v: eccentricity(d) for v, d in dists.items()}
+    i = eccentricity(du)
+    level = leveler(du)
 
     # a pair with an end deeper than level i is within that end's
     # eccentricity (in `ecc`, so at most lb); two nodes at levels <= i are
@@ -509,11 +553,10 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
         ub = min(2 * min(ecc.values()), max(lb, 2 * i))
         if lb >= ub:
             return DiameterResult(lb, True, True)
-        fringe = [z for z in levels[i] if z not in ecc]
+        fringe = [z for z in level(i) if z not in ecc]
         if len(ecc) + len(fringe) > _BFS_BUDGET:
             break
-        for z in fringe:
-            ecc[z] = max(bfs(z))
+        ecc.update(zip(fringe, fringe_eccentricities(fringe)))
         i -= 1
     if k <= _EXACT_THRESHOLD:
         return DiameterResult(_diameter_bitset(local), True, True)
@@ -556,8 +599,9 @@ def _gather_rows(ip: np.ndarray, targets: np.ndarray, rows: np.ndarray) -> tuple
     return targets[np.repeat(lo - ends + cnt, cnt) + np.arange(int(ends[-1]))], ends
 
 
-def _layered_bfs(local: _LocalGraph, s: int) -> list[int]:
-    """Hop distances from `s` over `local`; -1 if unreached.
+def _layered_bfs(local: _LocalGraph, s: int) -> list[int] | np.ndarray:
+    """Hop distances from `s` over `local`; -1 if unreached. A list if every
+    layer was narrow, else an int64 array.
 
     A layer of fewer than _WIDE nodes is expanded node by node over a
     Python list of distances, building the rows it reads; a wider one by
@@ -605,7 +649,7 @@ def _layered_bfs(local: _LocalGraph, s: int) -> list[int]:
     if arr is None:
         return dist
     arr[fresh] = [dist[y] for y in fresh]
-    return arr.tolist()
+    return arr
 
 
 def _wide_layer(local: _LocalGraph, dist: np.ndarray, frontier, d: int) -> np.ndarray:
@@ -617,7 +661,18 @@ def _wide_layer(local: _LocalGraph, dist: np.ndarray, frontier, d: int) -> np.nd
     dist[nb] = d
     # sorting a few targets beats a scan of all k distances (on a 70 x 600
     # grid), and the scan beats sorting many (on the gnp-wide giant cluster)
-    return np.unique(nb) if nb.size * 64 < dist.size else np.flatnonzero(dist == d)
+    return _distinct(nb) if nb.size * 64 < dist.size else np.flatnonzero(dist == d)
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """np.unique(ids), by a sort and a neighbour test: numpy 2's np.unique
+    hashes, and takes 3.4 ms to this 0.15 ms on the 20,000 ids of gnp-wide's
+    giant cluster (2-vCPU x86-64 host)."""
+    ids = np.sort(ids)
+    step = ids[1:] != ids[:-1]
+    if step.all():
+        return ids
+    return ids[np.concatenate(([True], step))]
 
 
 def _local_bfs(adj: list[list[int]], s: int) -> list[int]:
@@ -638,22 +693,36 @@ def _local_bfs(adj: list[list[int]], s: int) -> list[int]:
     return dist
 
 
-def _diameter_bitset(local: _LocalGraph) -> int:
-    """Exact diameter of a connected local subgraph with k >= 2 nodes, by an
-    all-pairs BFS batched in bitsets (one uint64 lane per source,
-    OR-propagated along edges): one numpy step per distance. No row of such
-    a subgraph is empty, so the row starts `ip[:-1]` are the reduceat runs."""
-    k = len(local.rows)
-    words = (k + 63) // 64
-    reach = np.zeros((k, words), dtype=np.uint64)
-    lanes = np.arange(k, dtype=np.uint64)
-    reach[np.arange(k), (lanes // np.uint64(64)).astype(np.int64)] = (
-        np.uint64(1) << (lanes % np.uint64(64))
-    )
-    diameter = 0
+def _eccentricities(local: _LocalGraph, sources) -> np.ndarray:
+    """The eccentricities of `sources` in a connected local subgraph with
+    k >= 2 nodes, by one BFS batched in bitsets: source j owns lane j of a
+    (k, words) uint64 array, OR-propagated along edges, one numpy step per
+    distance, and its eccentricity is the last step at which its lane grew.
+    No row of such a subgraph is empty, so the row starts `ip[:-1]` are the
+    reduceat runs."""
+    src = np.asarray(sources, dtype=np.int64)
+    lanes = np.arange(src.size, dtype=np.uint64)
+    reach = np.zeros((len(local.rows), (src.size + 63) // 64), dtype=np.uint64)
+    reach[src, (lanes // np.uint64(64)).astype(np.int64)] = np.uint64(1) << (lanes % np.uint64(64))
+    if reach.shape[1] == 1:
+        reach = reach.ravel()  # gathers and reduceat run faster on one word as 1-D
+    ecc = np.zeros(src.size, dtype=np.int64)
+    step = 0
     while True:
-        updated = reach | np.bitwise_or.reduceat(reach[local.dst], local.ip[:-1], axis=0)
-        if np.array_equal(updated, reach):
-            return diameter
+        updated = np.bitwise_or.reduceat(reach[local.dst], local.ip[:-1], axis=0)
+        updated |= reach
+        reach ^= updated  # the bits each row gained
+        grown = np.reshape(np.bitwise_or.reduce(reach, axis=0), -1)
+        if not grown.any():
+            return ecc
+        step += 1
+        # lane j is bit j % 64 of word j // 64
+        bits = np.unpackbits(grown.astype("<u8").view(np.uint8), bitorder="little")
+        ecc[bits[: src.size] == 1] = step
         reach = updated
-        diameter += 1
+
+
+def _diameter_bitset(local: _LocalGraph) -> int:
+    """Exact diameter of a connected local subgraph with k >= 2 nodes: the
+    largest eccentricity, with every node a source."""
+    return int(_eccentricities(local, np.arange(len(local.rows))).max())

@@ -18,8 +18,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from netdecomp import Graph, NodeMask, complete_graph, generate, graph_from_edges
+
+# `scripts/mutants.py` runs its named tests with `--hypothesis-profile
+# mutants`: a test stops at its first failing example instead of shrinking
+# it. Shrinking runs only after a failure, so a passing run is the same
+# under either profile.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
 
 
 # ----------------------------------------------------------------------------

@@ -199,6 +199,27 @@ def test_bfs_kernel_numpy_layers_match_the_node_loop(wide, data):
 
 
 @pytest.mark.parametrize("wide", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_preorder_read_off_wide_layers_equals_the_walk(wide, data):
+    # width 1 reads every tree's preorder off its BFS layers in numpy, 3
+    # every tree whose layers average 3 nodes or more: the order and the
+    # eccentricity equal those of the depth-first walk, inside a drawn mask
+    # and in the whole graph, whose trees branch more
+    g = fuzz_graph(np.random.default_rng(data.draw(st.integers(0, 2**31 - 1))), max_n=60)
+    alive = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+    alive_ids = np.flatnonzero(alive).tolist()
+    assume(alive_ids)
+    root = data.draw(st.sampled_from(alive_ids))
+    for mask in (NodeMask(alive), NodeMask.full(g.n)):
+        with _wide_layer(g.n + 1):
+            want = graphmod._preorder(g.adj, mask.as_bytes(), root, g.scratch)
+        with _wide_layer(wide):
+            got = graphmod._preorder(g.adj, mask.as_bytes(), root, g.scratch)
+        assert got == want
+
+
+@pytest.mark.parametrize("wide", [1, 3])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_census_numpy_layers_match_the_reference(wide, data):

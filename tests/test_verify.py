@@ -1,4 +1,5 @@
 import collections
+import functools
 
 import numpy as np
 import pytest
@@ -505,3 +506,68 @@ def test_induced_diameter_switches_kernels_both_ways(monkeypatch):
     calls = count_calls(monkeypatch, verifymod, "_wide_layer")
     assert induced_diameter(g, range(g.n)) == verifymod.DiameterResult(5001, True, True)
     assert calls["_wide_layer"] > 0
+
+
+@pytest.mark.parametrize("count", [1, 16, 64])
+def test_eccentricity_sweep_equals_one_bfs_per_source(count):
+    # one bitset sweep from `count` sources, a lane each, gives every source
+    # the eccentricity of a plain BFS from it; 64 sources fill one word
+    rng = np.random.default_rng(31 + count)
+    for _ in range(60):
+        g = fuzz_graph(rng, max_n=120, connected=True)
+        if g.n < 2:
+            continue
+        local = verifymod._LocalGraph(g, np.arange(g.n))
+        ip = local.ip_list
+        rows = [local.dst_list[ip[x] : ip[x + 1]] for x in range(g.n)]
+        sources = rng.choice(g.n, size=min(count, g.n), replace=False).tolist()
+        got = verifymod._eccentricities(local, sources).tolist()
+        assert got == [max(verifymod._local_bfs(rows, s)) for s in sources]
+
+
+@functools.lru_cache(maxsize=None)
+def _gnp_wide_giant(seed: int) -> tuple:
+    """The benchmark's gnp-wide graph for graph seed `seed`, and the node
+    ids of its decomposition's largest cluster (decompose seed 0)."""
+    g = generate("gnp", seed=seed, n=20000, p=8 / 20000)
+    d, _ = decompose(g, 0, make_refined_carver(linial_saks_black_box))
+    return g, max(d.clusters, key=lambda c: c.nodes.size).nodes
+
+
+@pytest.mark.parametrize("family, size", [("gnp", 1), ("gnp", 2), ("gnp", 3), ("grid", 100)])
+def test_array_route_equals_the_list_route(monkeypatch, family, size):
+    # gnp-wide's giant cluster (graph seeds 1-3) and grid 100 x 100: a set
+    # whose first BFS goes wide measures with distance arrays and one sweep
+    # per fringe; with _WIDE above its size it runs list BFS only, and the
+    # result, bound and exact flag included, is the same
+    if family == "grid":
+        g = generate("grid", rows=size, cols=size)
+        nodes = np.arange(g.n)
+    else:
+        g, nodes = _gnp_wide_giant(size)
+    calls = count_calls(monkeypatch, verifymod, "_wide_layer")
+    got = induced_diameter(g, nodes)
+    assert calls["_wide_layer"] > 0
+    calls["_wide_layer"] = 0
+    monkeypatch.setattr(verifymod, "_WIDE", nodes.size + 1)
+    assert induced_diameter(g, nodes) == got
+    assert calls["_wide_layer"] == 0
+
+
+def test_giant_cluster_runs_seven_bfs_and_one_eight_lane_sweep(monkeypatch):
+    # graph seed 1's giant cluster: the first BFS, the four ends of the two
+    # double sweeps, the second sweep's start and the iFUB root run one at
+    # a time; the deepest level's 8 fringe nodes share one sweep, and the
+    # next level's would exceed the budget of 16
+    g, nodes = _gnp_wide_giant(1)
+    bfs = count_calls(monkeypatch, verifymod, "_layered_bfs")
+    lanes = []
+    sweep = verifymod._eccentricities
+
+    def spy(local, sources):
+        lanes.append(len(sources))
+        return sweep(local, sources)
+
+    monkeypatch.setattr(verifymod, "_eccentricities", spy)
+    assert induced_diameter(g, nodes) == verifymod.DiameterResult(12, True, False)
+    assert bfs["_layered_bfs"] == 7 and lanes == [8]
