@@ -51,9 +51,26 @@ MUTANTS = (
         "keep = dst >= 0",
         "keep = dst >= -1",
         (
+            "tests/test_verify.py::test_induced_diameter_numpy_layers_match_floyd_warshall[1]",
+            "tests/test_verify.py::test_local_graph_matches_dict_induced_subgraph",
+        ),
+    ),
+    Mutant(
+        "small set's rows keep targets outside the set",
+        "verify.py",
+        "[[index[w] for w in adj[v] if w in index] for v in ids]",
+        "[[index.get(w, -1) for w in adj[v]] for v in ids]",
+        (
             "tests/test_verify.py::test_induced_diameter_matches_floyd_warshall",
             "tests/test_verify.py::test_local_graph_matches_dict_induced_subgraph",
         ),
+    ),
+    Mutant(
+        "position buffer reset skips the set's highest node",
+        "verify.py",
+        "pos[nodes] = -1",
+        "pos[nodes[:-1]] = -1",
+        ("tests/test_verify.py::test_clusters_measured_in_sequence_share_a_clean_position_buffer",),
     ),
     Mutant(
         "bitset eccentricities off by one",

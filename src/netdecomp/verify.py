@@ -96,7 +96,9 @@ def _in_range(g: Graph, nodes: set[int]) -> set[int]:
 
 def _check_partition(
     alive_ids: set[int], parts: list[set[int]], out: list[Violation]
-) -> None:
+) -> bool:
+    """Report overlaps, ids outside `alive_ids` and uncovered ids; True if
+    some id lies outside `alive_ids`."""
     seen: set[int] = set()
     for part in parts:
         dup = seen & part
@@ -115,6 +117,7 @@ def _check_partition(
         out.append(
             Violation("not-partition", {"reason": "uncovered", "nodes": sorted(missing)[:8]})
         )
+    return bool(extra)
 
 
 def _check_cluster_adjacency(
@@ -161,8 +164,9 @@ def _check_cluster_geometry(
     nodes: set[int],
     d_bound: float,
     out: Violations,
+    positions: np.ndarray,
 ) -> None:
-    res = induced_diameter(g, list(nodes))
+    res = induced_diameter(g, sorted(nodes), positions=positions)
     out.diameters[cluster_id] = res
     if not res.connected:
         out.append(
@@ -188,8 +192,8 @@ def _check_carving(
     alive_ids = _as_int_set(mask.node_ids())
     cluster_sets = [_as_int_set(cl.nodes) for cl in c.clusters]
     dead = _as_int_set(c.dead)
-    _check_partition(alive_ids, cluster_sets + [dead], out)
-    cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
+    if _check_partition(alive_ids, cluster_sets + [dead], out):
+        cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
     if len(dead) > eps * len(alive_ids):
         out.append(
             Violation(
@@ -325,9 +329,10 @@ def verify_strong_carving(
     """
     out = Violations()
     cluster_sets = _check_carving(g, mask, c, eps, out)
+    positions = np.full(g.n, -1, dtype=np.int64)
     for k, nodes in enumerate(cluster_sets):
         if nodes:
-            _check_cluster_geometry(g, k, nodes, d_bound, out)
+            _check_cluster_geometry(g, k, nodes, d_bound, out, positions)
     return out
 
 
@@ -350,11 +355,12 @@ def verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> Violation
     ids = [int(cl.id) for cl in clusters]
     colors = [int(cl.color) for cl in clusters]
     cluster_sets = [_as_int_set(cl.nodes) for cl in clusters]
-    _check_partition(set(range(g.n)), cluster_sets, out)
+    outside = _check_partition(set(range(g.n)), cluster_sets, out)
     repeated = sorted(cid for cid, uses in Counter(ids).items() if uses > 1)
     if repeated:
         out.append(Violation("not-partition", {"reason": "duplicate-id", "ids": repeated[:8]}))
-    cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
+    if outside:
+        cluster_sets = [_in_range(g, nodes) for nodes in cluster_sets]
 
     used_colors = set(colors)
     if used_colors and (min(used_colors) < 1 or len(used_colors) > c_bound):
@@ -367,9 +373,10 @@ def verify_decomposition(g: Graph, d, c_bound: int, d_bound: float) -> Violation
             )
         )
     _check_cluster_adjacency(g, cluster_sets, out, colors=colors, ids=ids)
+    positions = np.full(g.n, -1, dtype=np.int64)
     for cid, nodes in zip(ids, cluster_sets):
         if nodes:
-            _check_cluster_geometry(g, cid, nodes, d_bound, out)
+            _check_cluster_geometry(g, cid, nodes, d_bound, out, positions)
     return out
 
 
@@ -434,26 +441,42 @@ assert _BFS_BUDGET <= 64
 # have not met within the budget.
 _EXACT_THRESHOLD = 5000
 
+# Fewest fringe nodes that a set whose BFS went wide measures in one bitset
+# sweep rather than one BFS each: on gnp-wide's giant cluster (graph seeds
+# 1-3) a sweep of 1, 2 or 3 lanes costs 5.3-7.1 ms and a BFS 2.3-2.9 ms.
+_SWEEP_LANES = 3
+
 # Frontier size from which induced_diameter expands a BFS layer in numpy
 # rather than node by node. One layer costs the same either way at about 64
 # frontier nodes on the gnp-wide giant cluster (mean degree 8) and about 96
 # on grid 64x64 (degree 4); 80 keeps the grid within a few percent of the
-# node loop and costs the giant cluster about 2% against 64.
+# node loop and costs the giant cluster about 2% against 64. A set of fewer
+# nodes never expands a layer in numpy, so `_LocalGraph` builds it no CSR.
 _WIDE = 80
 
 
-def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
+def induced_diameter(
+    g: Graph, nodes: Sequence[int], *, positions: np.ndarray | None = None
+) -> DiameterResult:
     """Diameter of the subgraph induced by `nodes`.
 
-    Every BFS runs over a compact local copy of the induced subgraph. A BFS
-    from the lowest node decides `connected`. A BFS layer whose frontier
-    holds at least _WIDE nodes is expanded in numpy, a narrower one node by
-    node. Two double sweeps (x -> the farthest a -> the farthest b, the
-    second from the node nearest both a and b) give a lower bound, and the
-    node nearest all four sweep ends is the root of iFUB (Crescenzi,
-    Grossi, Habib, Lanzi & Marino, TCS 2013): the eccentricities of the
-    root's BFS levels, deepest first, raise the lower bound until it meets
-    the upper bound 2 * (level - 1).
+    Every BFS runs over a compact local copy of the induced subgraph
+    (`_LocalGraph`), built in O(k) for a set of k nodes: a set of fewer
+    than _WIDE nodes maps its rows of `g.adj` through a dict of its ids, a
+    larger one its rows of g's CSR through `positions`, an int64 array of
+    g.n entries, all -1, which the call leaves all -1 again. The verifiers
+    hand one such array to all their calls; without it, a call on a set of
+    _WIDE nodes or more allocates its own. Ids already strictly ascending
+    are taken as they are, others sorted and made distinct.
+
+    A BFS from the lowest node decides `connected`. A BFS layer whose
+    frontier holds at least _WIDE nodes is expanded in numpy, a narrower
+    one node by node. Two double sweeps (x -> the farthest a -> the
+    farthest b, the second from the node nearest both a and b) give a
+    lower bound, and the node nearest all four sweep ends is the root of
+    iFUB (Crescenzi, Grossi, Habib, Lanzi & Marino, TCS 2013): the
+    eccentricities of the root's BFS levels, deepest first, raise the
+    lower bound until it meets the upper bound 2 * (level - 1).
 
     The first BFS picks the representation once. A set whose first BFS has
     no wide layer runs every BFS as a plain list BFS over Python lists, and
@@ -461,8 +484,9 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     wide keeps every distance vector as an int64 array (farthest and
     nearest nodes by argmax and argmin, which take the first of tied
     nodes, as a list's index does; a level by flatnonzero), and measures a
-    level's fringe in one bitset sweep, one lane per node
-    (`_eccentricities`). Both give the same result.
+    level's fringe of _SWEEP_LANES nodes or more in one bitset sweep, one
+    lane per node (`_eccentricities`), a smaller one BFS by BFS. Both
+    representations give the same result.
 
     If the bounds have not met within _BFS_BUDGET runs, a set of at most
     _EXACT_THRESHOLD nodes is finished exactly by a bitset all-pairs BFS;
@@ -472,12 +496,14 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     connected=False, exact=False and the eccentricity of the lowest node
     within its own component as value.
     """
-    nodes = _distinct(np.asarray(nodes, dtype=np.int64))
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if not (nodes[1:] > nodes[:-1]).all():
+        nodes = _distinct(nodes)
     k = int(nodes.size)
     if k == 0:
         raise ValueError("empty node set")
     _check_sorted_ids(nodes, g.n)
-    local = _LocalGraph(g, nodes)
+    local = _LocalGraph(g, nodes, positions)
 
     dist0 = _layered_bfs(local, 0)
     if local.wide:
@@ -499,6 +525,8 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
             return lambda i: np.flatnonzero(du == i).tolist()
 
         def fringe_eccentricities(fringe: list[int]) -> list[int]:
+            if len(fringe) < _SWEEP_LANES:
+                return [eccentricity(bfs(z)) for z in fringe]
             return _eccentricities(local, fringe).tolist()
 
     else:
@@ -564,21 +592,43 @@ def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
 
 
 class _LocalGraph:
-    """A node set's induced subgraph in local ids 0..k-1: its CSR arrays `ip`
-    and `dst`, the same as Python lists, and `rows[x]`, the adjacency list
-    of x once a narrow BFS layer has expanded x (None before). `wide` turns
-    true when a BFS first expands a layer in numpy. It is built from the
-    rows of the sorted, distinct `nodes` in `g`, each target mapped to its
-    local id or dropped (-1: not in the set); the targets kept up to each
-    row's end give `ip`."""
+    """The subgraph induced by the sorted, distinct, in-range `nodes` of
+    `g`, in local ids 0..k-1: `rows[x]` is the adjacency list of x once
+    built (None before), and `wide` turns true when a BFS first expands a
+    layer in numpy.
+
+    A set of fewer than _WIDE nodes never has a frontier of _WIDE nodes, so
+    its BFS only ever reads rows: they are all built up front, each row of
+    `g.adj` mapped through a dict of the set's ids and its targets outside
+    the set dropped. Its CSR arrays are built from the rows only if the
+    bitset kernel asks for them (`csr`). The switch is the set's size, not
+    its shape: long thin sets read their rows faster off the CSR's lists
+    (rows through the dict for every set made path-deep's verify 1.08x
+    slower, graph seed 1).
+
+    A larger set has its CSR arrays `ip` and `dst` and the same as Python
+    lists; a narrow BFS layer builds the rows it reads from the lists. They
+    come from the set's rows of g's CSR, each target mapped to its local id
+    through `positions` (-1: not in the set, dropped), which is reset on
+    the set's own nodes right after; the targets kept up to each row's end
+    give `ip`."""
 
     __slots__ = ("ip", "dst", "ip_list", "dst_list", "rows", "wide")
 
-    def __init__(self, g: Graph, nodes: np.ndarray):
-        pos = np.full(g.n, -1, dtype=np.int64)
+    def __init__(self, g: Graph, nodes: np.ndarray, positions: np.ndarray | None = None):
+        self.wide = False
+        if nodes.size < _WIDE:
+            ids = nodes.tolist()
+            index = {v: x for x, v in enumerate(ids)}
+            adj = g.adj
+            self.rows = [[index[w] for w in adj[v] if w in index] for v in ids]
+            self.ip = self.dst = self.ip_list = self.dst_list = None
+            return
+        pos = np.full(g.n, -1, dtype=np.int64) if positions is None else positions
         pos[nodes] = np.arange(nodes.size)
         targets, ends = _gather_rows(g.indptr, g.indices, nodes)
         dst = pos[targets]
+        pos[nodes] = -1
         keep = dst >= 0
         kept = np.zeros(dst.size + 1, dtype=np.int64)
         np.cumsum(keep, out=kept[1:])
@@ -587,7 +637,16 @@ class _LocalGraph:
         self.dst = dst[keep]
         self.ip_list, self.dst_list = self.ip.tolist(), self.dst.tolist()
         self.rows: list = [None] * nodes.size
-        self.wide = False
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """`(ip, dst)`, built from the rows on the first call for a set of
+        fewer than _WIDE nodes."""
+        if self.ip is None:
+            sizes = [len(row) for row in self.rows]
+            self.ip = np.zeros(len(sizes) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=self.ip[1:])
+            self.dst = np.fromiter(chain.from_iterable(self.rows), np.int64, int(self.ip[-1]))
+        return self.ip, self.dst
 
 
 def _gather_rows(ip: np.ndarray, targets: np.ndarray, rows: np.ndarray) -> tuple:
@@ -700,6 +759,7 @@ def _eccentricities(local: _LocalGraph, sources) -> np.ndarray:
     distance, and its eccentricity is the last step at which its lane grew.
     No row of such a subgraph is empty, so the row starts `ip[:-1]` are the
     reduceat runs."""
+    ip, dst = local.csr()
     src = np.asarray(sources, dtype=np.int64)
     lanes = np.arange(src.size, dtype=np.uint64)
     reach = np.zeros((len(local.rows), (src.size + 63) // 64), dtype=np.uint64)
@@ -709,7 +769,7 @@ def _eccentricities(local: _LocalGraph, sources) -> np.ndarray:
     ecc = np.zeros(src.size, dtype=np.int64)
     step = 0
     while True:
-        updated = np.bitwise_or.reduceat(reach[local.dst], local.ip[:-1], axis=0)
+        updated = np.bitwise_or.reduceat(reach[dst], ip[:-1], axis=0)
         updated |= reach
         reach ^= updated  # the bits each row gained
         grown = np.reshape(np.bitwise_or.reduce(reach, axis=0), -1)

@@ -450,9 +450,9 @@ def test_decompose_measures_each_cluster_once(tmp_path, monkeypatch):
 
     sizes = []
 
-    def counted(g, nodes, real=verify_mod.induced_diameter):
+    def counted(g, nodes, real=verify_mod.induced_diameter, **buffer):
         sizes.append(len(nodes))
-        return real(g, nodes)
+        return real(g, nodes, **buffer)
 
     monkeypatch.setattr(decompose_mod, "induced_diameter", refuse)
     monkeypatch.setattr(verify_mod, "induced_diameter", counted)

@@ -150,6 +150,28 @@ def test_verifiers_report_what_they_measured():
     assert res == [] and {k: r.value for k, r in res.diameters.items()} == {0: 2, 1: 0}
 
 
+@pytest.mark.parametrize("verifier", ["decomposition", "strong carving"])
+def test_clusters_measured_in_sequence_share_a_clean_position_buffer(verifier):
+    # cluster 0 (nodes 100..179 of a 300-node path) is measured first, its
+    # node 179 at position 79. Cluster 1 is two runs, 180..219 and 240..299,
+    # whose position 79 is node 279: a position left behind on node 179
+    # would join node 180 to node 279 and report cluster 1 connected
+    g = generate("path", n=300)
+    clusters = [range(100, 180), [*range(180, 220), *range(240, 300)], range(220, 240), range(100)]
+    if verifier == "decomposition":
+        res = verify_decomposition(g, _decomp(300, list(zip([1, 2, 1, 2], clusters))), 2, 99)
+    else:
+        res = verify_strong_carving(g, NodeMask.full(300), _carving(clusters, [], 300), 0.5, 99)
+    split = [v.to_json() for v in res if v.kind != "adjacent-same-color"]
+    assert split == [{"kind": "disconnected-cluster", "witness": {"cluster": 1, "size": 100}}]
+    assert res.diameters == {
+        0: verifymod.DiameterResult(79, True, True),
+        1: verifymod.DiameterResult(39, False, False),
+        2: verifymod.DiameterResult(19, True, True),
+        3: verifymod.DiameterResult(99, True, True),
+    }
+
+
 def test_giant_gnp_cluster_measured_with_numpy_layers(monkeypatch):
     # the benchmark's gnp-wide instance (graph seed 1, decompose seed 0) has
     # one cluster of more than 5000 nodes; its sweeps and iFUB spend the BFS
@@ -439,30 +461,42 @@ def test_induced_diameter_numpy_layers_match_floyd_warshall(monkeypatch, wide):
     assert calls["_wide_layer"] > 0
 
 
-def _dict_local_graph(g, nodes) -> tuple[list[int], list[int]]:
+def _dict_local_graph(g, nodes) -> list[list[int]]:
     """The subgraph induced by the sorted `nodes` in local ids, built from
-    dicts: its row starts and its sorted rows, concatenated."""
+    dicts: its sorted rows."""
     local = {v: i for i, v in enumerate(nodes)}
-    rows = [sorted(local[w] for w in g.adj[v] if w in local) for v in nodes]
-    ip = [0]
-    for row in rows:
-        ip.append(ip[-1] + len(row))
-    return ip, [y for row in rows for y in row]
+    return [sorted(local[w] for w in g.adj[v] if w in local) for v in nodes]
 
 
-def test_local_graph_matches_dict_induced_subgraph():
+def test_local_graph_matches_dict_induced_subgraph(monkeypatch):
+    # by default a set of fewer than _WIDE nodes builds its rows from g.adj
+    # and a larger one its CSR; _WIDE = 1 sends every set through the CSR
     rng = np.random.default_rng(29)
     cases = [_fuzz_node_set(rng) for _ in range(150)]
     # nodes 3 and 5 are isolated in g; ids 0 and n - 1 = 6 are in the sets
     g = graph_from_edges(7, [(0, 1), (1, 2), (4, 6)])
     for nodes in ([0], [3], [6], [3, 5], [0, 2, 3, 4], [0, 6], [4, 6], list(range(7))):
         cases.append((g, nodes))
-    for g, nodes in cases:
-        local = verifymod._LocalGraph(g, np.asarray(nodes, dtype=np.int64))
-        ip, dst = _dict_local_graph(g, nodes)
-        assert local.ip.tolist() == local.ip_list == ip
-        assert local.dst.tolist() == local.dst_list == dst
-        assert local.rows == [None] * len(nodes) and not local.wide
+    for wide in (verifymod._WIDE, 1):
+        monkeypatch.setattr(verifymod, "_WIDE", wide)
+        routes = collections.Counter()
+        for g, nodes in cases:
+            local = verifymod._LocalGraph(g, np.asarray(nodes, dtype=np.int64))
+            rows = _dict_local_graph(g, nodes)
+            ip = np.cumsum([0] + [len(row) for row in rows]).tolist()
+            dst = [y for row in rows for y in row]
+            assert not local.wide
+            if len(nodes) < wide:
+                routes["rows"] += 1
+                assert local.rows == rows and local.ip is None
+            else:
+                routes["csr"] += 1
+                assert local.rows == [None] * len(nodes)
+                assert local.ip_list == ip and local.dst_list == dst
+            # the arrays, built from the rows on request for a small set
+            got_ip, got_dst = local.csr()
+            assert got_ip.tolist() == ip and got_dst.tolist() == dst
+        assert routes["csr"] > 0 and (routes["rows"] > 0) == (wide > 1)
 
 
 def test_induced_diameter_bound_when_budget_runs_out(monkeypatch):
@@ -518,8 +552,8 @@ def test_eccentricity_sweep_equals_one_bfs_per_source(count):
         if g.n < 2:
             continue
         local = verifymod._LocalGraph(g, np.arange(g.n))
-        ip = local.ip_list
-        rows = [local.dst_list[ip[x] : ip[x + 1]] for x in range(g.n)]
+        ip, dst = (a.tolist() for a in local.csr())
+        rows = [dst[ip[x] : ip[x + 1]] for x in range(g.n)]
         sources = rng.choice(g.n, size=min(count, g.n), replace=False).tolist()
         got = verifymod._eccentricities(local, sources).tolist()
         assert got == [max(verifymod._local_bfs(rows, s)) for s in sources]
@@ -552,6 +586,37 @@ def test_array_route_equals_the_list_route(monkeypatch, family, size):
     monkeypatch.setattr(verifymod, "_WIDE", nodes.size + 1)
     assert induced_diameter(g, nodes) == got
     assert calls["_wide_layer"] == 0
+
+
+@pytest.mark.parametrize("family, seed, fringe", [("regular_expander", 1, 1), ("gnp", 4, 2)])
+def test_fringe_of_one_or_two_nodes_runs_one_bfs_each(monkeypatch, family, seed, fringe):
+    # on 3000 nodes, these graphs' first BFS goes wide and iFUB meets a
+    # fringe of `fringe` nodes, then one too many for the budget: the fringe
+    # is measured BFS by BFS, not swept (as with _SWEEP_LANES = 1), and only
+    # the exact finisher sweeps, with the list route's result
+    kw = {"deg": 5} if family == "regular_expander" else {"p": 8 / 3000}
+    g = generate(family, seed=seed, n=3000, **kw)
+    bfs = count_calls(monkeypatch, verifymod, "_layered_bfs")
+    lanes = []
+    sweep = verifymod._eccentricities
+
+    def spy(local, sources):
+        lanes.append(len(sources))
+        return sweep(local, sources)
+
+    monkeypatch.setattr(verifymod, "_eccentricities", spy)
+    runs = {}
+    for sweep_lanes in (1, verifymod._SWEEP_LANES):
+        monkeypatch.setattr(verifymod, "_SWEEP_LANES", sweep_lanes)
+        lanes.clear()
+        bfs["_layered_bfs"] = 0
+        runs[sweep_lanes] = induced_diameter(g, range(g.n)), lanes[:], bfs["_layered_bfs"]
+    (swept, swept_lanes, swept_bfs), (got, got_lanes, got_bfs) = runs.values()
+    assert swept_lanes == [fringe, g.n] and got_lanes == [g.n]
+    assert got_bfs == swept_bfs + fringe
+    assert got == swept and got.exact
+    monkeypatch.setattr(verifymod, "_WIDE", g.n + 1)
+    assert induced_diameter(g, range(g.n)) == got
 
 
 def test_giant_cluster_runs_seven_bfs_and_one_eight_lane_sweep(monkeypatch):
