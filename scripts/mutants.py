@@ -58,8 +58,8 @@ MUTANTS = (
     Mutant(
         "small set's rows keep targets outside the set",
         "verify.py",
-        "[[index[w] for w in adj[v] if w in index] for v in ids]",
-        "[[index.get(w, -1) for w in adj[v]] for v in ids]",
+        "[[index[w] for w in row if w in index] for row in rows]",
+        "[[index.get(w, -1) for w in row] for row in rows]",
         (
             "tests/test_verify.py::test_induced_diameter_matches_floyd_warshall",
             "tests/test_verify.py::test_local_graph_matches_dict_induced_subgraph",

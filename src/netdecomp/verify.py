@@ -166,7 +166,7 @@ def _check_cluster_geometry(
     out: Violations,
     positions: np.ndarray,
 ) -> None:
-    res = induced_diameter(g, sorted(nodes), positions=positions)
+    res = _induced_diameter(g, sorted(nodes), positions)
     out.diameters[cluster_id] = res
     if not res.connected:
         out.append(
@@ -441,11 +441,6 @@ assert _BFS_BUDGET <= 64
 # have not met within the budget.
 _EXACT_THRESHOLD = 5000
 
-# Fewest fringe nodes that a set whose BFS went wide measures in one bitset
-# sweep rather than one BFS each: on gnp-wide's giant cluster (graph seeds
-# 1-3) a sweep of 1, 2 or 3 lanes costs 5.3-7.1 ms and a BFS 2.3-2.9 ms.
-_SWEEP_LANES = 3
-
 # Frontier size from which induced_diameter expands a BFS layer in numpy
 # rather than node by node. One layer costs the same either way at about 64
 # frontier nodes on the gnp-wide giant cluster (mean degree 8) and about 96
@@ -455,19 +450,17 @@ _SWEEP_LANES = 3
 _WIDE = 80
 
 
-def induced_diameter(
-    g: Graph, nodes: Sequence[int], *, positions: np.ndarray | None = None
-) -> DiameterResult:
+def induced_diameter(g: Graph, nodes: Sequence[int]) -> DiameterResult:
     """Diameter of the subgraph induced by `nodes`.
 
     Every BFS runs over a compact local copy of the induced subgraph
-    (`_LocalGraph`), built in O(k) for a set of k nodes: a set of fewer
-    than _WIDE nodes maps its rows of `g.adj` through a dict of its ids, a
-    larger one its rows of g's CSR through `positions`, an int64 array of
-    g.n entries, all -1, which the call leaves all -1 again. The verifiers
-    hand one such array to all their calls; without it, a call on a set of
-    _WIDE nodes or more allocates its own. Ids already strictly ascending
-    are taken as they are, others sorted and made distinct.
+    (`_LocalGraph`): a set of fewer than _WIDE nodes maps its rows in g
+    through a dict of its ids, in O(k) for k nodes; a larger one maps
+    them through a position array of g.n entries. A call allocates that
+    array for itself; the verifiers share one between all their calls
+    (`_induced_diameter`), so that a cluster costs them O(k). Ids already
+    strictly ascending are taken as they are, others sorted and made
+    distinct.
 
     A BFS from the lowest node decides `connected`. A BFS layer whose
     frontier holds at least _WIDE nodes is expanded in numpy, a narrower
@@ -484,9 +477,8 @@ def induced_diameter(
     wide keeps every distance vector as an int64 array (farthest and
     nearest nodes by argmax and argmin, which take the first of tied
     nodes, as a list's index does; a level by flatnonzero), and measures a
-    level's fringe of _SWEEP_LANES nodes or more in one bitset sweep, one
-    lane per node (`_eccentricities`), a smaller one BFS by BFS. Both
-    representations give the same result.
+    level's fringe in one bitset sweep, one lane per node
+    (`_eccentricities`). Both give the same result.
 
     If the bounds have not met within _BFS_BUDGET runs, a set of at most
     _EXACT_THRESHOLD nodes is finished exactly by a bitset all-pairs BFS;
@@ -496,6 +488,15 @@ def induced_diameter(
     connected=False, exact=False and the eccentricity of the lowest node
     within its own component as value.
     """
+    return _induced_diameter(g, nodes, None)
+
+
+def _induced_diameter(
+    g: Graph, nodes: Sequence[int], positions: np.ndarray | None
+) -> DiameterResult:
+    """`induced_diameter`, reading a set of _WIDE nodes or more through
+    `positions`: an int64 array of g.n entries, all -1, which the call
+    leaves all -1 again (None: allocate one)."""
     nodes = np.asarray(nodes, dtype=np.int64)
     if not (nodes[1:] > nodes[:-1]).all():
         nodes = _distinct(nodes)
@@ -525,8 +526,6 @@ def induced_diameter(
             return lambda i: np.flatnonzero(du == i).tolist()
 
         def fringe_eccentricities(fringe: list[int]) -> list[int]:
-            if len(fringe) < _SWEEP_LANES:
-                return [eccentricity(bfs(z)) for z in fringe]
             return _eccentricities(local, fringe).tolist()
 
     else:
@@ -598,20 +597,23 @@ class _LocalGraph:
     layer in numpy.
 
     A set of fewer than _WIDE nodes never has a frontier of _WIDE nodes, so
-    its BFS only ever reads rows: they are all built up front, each row of
-    `g.adj` mapped through a dict of the set's ids and its targets outside
-    the set dropped. Its CSR arrays are built from the rows only if the
-    bitset kernel asks for them (`csr`). The switch is the set's size, not
-    its shape: long thin sets read their rows faster off the CSR's lists
-    (rows through the dict for every set made path-deep's verify 1.08x
-    slower, graph seed 1).
+    its BFS only ever reads rows: they are all built up front, each of the
+    set's rows in g its targets mapped through a dict of the set's ids and
+    those outside the set dropped. The rows are read from `g.adj` if it has
+    been built (the pipelines build it), else sliced out of g's CSR, which
+    costs about 8 us more on a 15-node set but builds no O(n) Python lists
+    for a graph that is only verified. Its CSR arrays are built from the
+    rows only if the bitset kernel asks for them (`csr`). The switch is the
+    set's size, not its shape: long thin sets read their rows faster off
+    the CSR's lists (rows through the dict for every set made path-deep's
+    verify 1.08x slower, graph seed 1).
 
     A larger set has its CSR arrays `ip` and `dst` and the same as Python
     lists; a narrow BFS layer builds the rows it reads from the lists. They
     come from the set's rows of g's CSR, each target mapped to its local id
-    through `positions` (-1: not in the set, dropped), which is reset on
-    the set's own nodes right after; the targets kept up to each row's end
-    give `ip`."""
+    through `positions` (-1: not in the set, dropped; g.n entries allocated
+    here when None), which is reset on the set's own nodes right after; the
+    targets kept up to each row's end give `ip`."""
 
     __slots__ = ("ip", "dst", "ip_list", "dst_list", "rows", "wide")
 
@@ -620,8 +622,13 @@ class _LocalGraph:
         if nodes.size < _WIDE:
             ids = nodes.tolist()
             index = {v: x for x, v in enumerate(ids)}
-            adj = g.adj
-            self.rows = [[index[w] for w in adj[v] if w in index] for v in ids]
+            if g._adj is None:
+                ip, targets = g.indptr, g.indices
+                spans = zip(ip[nodes].tolist(), ip[nodes + 1].tolist())
+                rows = (targets[a:b].tolist() for a, b in spans)
+            else:
+                rows = (g._adj[v] for v in ids)
+            self.rows = [[index[w] for w in row if w in index] for row in rows]
             self.ip = self.dst = self.ip_list = self.dst_list = None
             return
         pos = np.full(g.n, -1, dtype=np.int64) if positions is None else positions

@@ -450,12 +450,12 @@ def test_decompose_measures_each_cluster_once(tmp_path, monkeypatch):
 
     sizes = []
 
-    def counted(g, nodes, real=verify_mod.induced_diameter, **buffer):
+    def counted(g, nodes, positions, real=verify_mod._induced_diameter):
         sizes.append(len(nodes))
-        return real(g, nodes, **buffer)
+        return real(g, nodes, positions)
 
     monkeypatch.setattr(decompose_mod, "induced_diameter", refuse)
-    monkeypatch.setattr(verify_mod, "induced_diameter", counted)
+    monkeypatch.setattr(verify_mod, "_induced_diameter", counted)
     gfile = tmp_path / "p.g"
     dfile = tmp_path / "d.json"
     assert run(["gen", "--type", "path", "--n", "2000", "--out", str(gfile)]) == 0

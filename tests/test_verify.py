@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from netdecomp import (
+    Graph,
     NodeMask,
     SteinerTree,
     StrongCarving,
@@ -170,6 +171,8 @@ def test_clusters_measured_in_sequence_share_a_clean_position_buffer(verifier):
         2: verifymod.DiameterResult(19, True, True),
         3: verifymod.DiameterResult(99, True, True),
     }
+    # nor does either route build the graph's Python adjacency lists
+    assert g._adj is None
 
 
 def test_giant_gnp_cluster_measured_with_numpy_layers(monkeypatch):
@@ -469,8 +472,9 @@ def _dict_local_graph(g, nodes) -> list[list[int]]:
 
 
 def test_local_graph_matches_dict_induced_subgraph(monkeypatch):
-    # by default a set of fewer than _WIDE nodes builds its rows from g.adj
-    # and a larger one its CSR; _WIDE = 1 sends every set through the CSR
+    # by default a set of fewer than _WIDE nodes builds its rows, from g.adj
+    # once built and else from the CSR, and a larger one its CSR; _WIDE = 1
+    # sends every set through the CSR
     rng = np.random.default_rng(29)
     cases = [_fuzz_node_set(rng) for _ in range(150)]
     # nodes 3 and 5 are isolated in g; ids 0 and n - 1 = 6 are in the sets
@@ -481,22 +485,26 @@ def test_local_graph_matches_dict_induced_subgraph(monkeypatch):
         monkeypatch.setattr(verifymod, "_WIDE", wide)
         routes = collections.Counter()
         for g, nodes in cases:
-            local = verifymod._LocalGraph(g, np.asarray(nodes, dtype=np.int64))
             rows = _dict_local_graph(g, nodes)
             ip = np.cumsum([0] + [len(row) for row in rows]).tolist()
             dst = [y for row in rows for y in row]
-            assert not local.wide
-            if len(nodes) < wide:
-                routes["rows"] += 1
-                assert local.rows == rows and local.ip is None
-            else:
-                routes["csr"] += 1
-                assert local.rows == [None] * len(nodes)
-                assert local.ip_list == ip and local.dst_list == dst
-            # the arrays, built from the rows on request for a small set
-            got_ip, got_dst = local.csr()
-            assert got_ip.tolist() == ip and got_dst.tolist() == dst
-        assert routes["csr"] > 0 and (routes["rows"] > 0) == (wide > 1)
+            # the same graph without its Python adjacency lists, then with them
+            for graph in (Graph(g.n, g.indptr, g.indices), g):
+                built = graph._adj is not None
+                local = verifymod._LocalGraph(graph, np.asarray(nodes, dtype=np.int64))
+                assert (graph._adj is not None) == built and not local.wide
+                if len(nodes) < wide:
+                    routes["adj" if built else "sliced"] += 1
+                    assert local.rows == rows and local.ip is None
+                else:
+                    routes["csr"] += 1
+                    assert local.rows == [None] * len(nodes)
+                    assert local.ip_list == ip and local.dst_list == dst
+                # the arrays, built from the rows on request for a small set
+                got_ip, got_dst = local.csr()
+                assert got_ip.tolist() == ip and got_dst.tolist() == dst
+        small = wide > 1
+        assert routes["csr"] > 0 and (routes["adj"] > 0) == (routes["sliced"] > 0) == small
 
 
 def test_induced_diameter_bound_when_budget_runs_out(monkeypatch):
@@ -586,37 +594,6 @@ def test_array_route_equals_the_list_route(monkeypatch, family, size):
     monkeypatch.setattr(verifymod, "_WIDE", nodes.size + 1)
     assert induced_diameter(g, nodes) == got
     assert calls["_wide_layer"] == 0
-
-
-@pytest.mark.parametrize("family, seed, fringe", [("regular_expander", 1, 1), ("gnp", 4, 2)])
-def test_fringe_of_one_or_two_nodes_runs_one_bfs_each(monkeypatch, family, seed, fringe):
-    # on 3000 nodes, these graphs' first BFS goes wide and iFUB meets a
-    # fringe of `fringe` nodes, then one too many for the budget: the fringe
-    # is measured BFS by BFS, not swept (as with _SWEEP_LANES = 1), and only
-    # the exact finisher sweeps, with the list route's result
-    kw = {"deg": 5} if family == "regular_expander" else {"p": 8 / 3000}
-    g = generate(family, seed=seed, n=3000, **kw)
-    bfs = count_calls(monkeypatch, verifymod, "_layered_bfs")
-    lanes = []
-    sweep = verifymod._eccentricities
-
-    def spy(local, sources):
-        lanes.append(len(sources))
-        return sweep(local, sources)
-
-    monkeypatch.setattr(verifymod, "_eccentricities", spy)
-    runs = {}
-    for sweep_lanes in (1, verifymod._SWEEP_LANES):
-        monkeypatch.setattr(verifymod, "_SWEEP_LANES", sweep_lanes)
-        lanes.clear()
-        bfs["_layered_bfs"] = 0
-        runs[sweep_lanes] = induced_diameter(g, range(g.n)), lanes[:], bfs["_layered_bfs"]
-    (swept, swept_lanes, swept_bfs), (got, got_lanes, got_bfs) = runs.values()
-    assert swept_lanes == [fringe, g.n] and got_lanes == [g.n]
-    assert got_bfs == swept_bfs + fringe
-    assert got == swept and got.exact
-    monkeypatch.setattr(verifymod, "_WIDE", g.n + 1)
-    assert induced_diameter(g, range(g.n)) == got
 
 
 def test_giant_cluster_runs_seven_bfs_and_one_eight_lane_sweep(monkeypatch):

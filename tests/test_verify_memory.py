@@ -2,11 +2,12 @@
 
 The verifiers measure every cluster of a decomposition, so each measurement
 must cost O(k) in a graph of n nodes. A set of fewer than `_WIDE` nodes
-builds its rows from the graph's adjacency lists; a larger one maps its
-rows through a position array of n entries, which the verifiers allocate
-once per call and hand to every measurement. The graph and its adjacency
-lists are built before measuring, and each call runs once unmeasured
-first.
+slices its rows out of the graph's CSR; a larger one maps its rows
+through a position array of n entries, which the verifiers allocate once
+per call and hand to every measurement. The graph's Python adjacency lists
+(`Graph.adj`, O(n) Python objects) are never built: a verifier run on a
+graph just read from a file, with no decomposition before it, must not
+build them either. Each call runs once unmeasured first.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ KIB = 1024
 
 @pytest.fixture(scope="module")
 def path():
-    g = generate("path", n=N)
-    g.adj
-    return g
+    return generate("path", n=N)
 
 
 def peak_bytes(call) -> int:
@@ -45,15 +44,16 @@ def test_small_set_allocates_set_sized_memory(path):
     assert len(nodes) < verifymod._WIDE
     peak = peak_bytes(lambda: induced_diameter(path, nodes))
     assert peak < 64 * KIB, f"a 40-node set of a {N}-node path peaked at {peak} bytes"
+    assert path._adj is None, "measuring a small set built the graph's adjacency lists"
 
 
 def test_wide_set_through_a_shared_buffer_allocates_no_n_sized_array(path):
     nodes = np.arange(500_000, 500_000 + 2 * verifymod._WIDE)
     positions = np.full(N, -1, dtype=np.int64)
     want = verifymod.DiameterResult(nodes.size - 1, True, True)
-    shared = peak_bytes(lambda: induced_diameter(path, nodes, positions=positions))
+    shared = peak_bytes(lambda: verifymod._induced_diameter(path, nodes, positions))
     assert shared < 64 * KIB, f"a {nodes.size}-node set with the buffer peaked at {shared} bytes"
-    assert induced_diameter(path, nodes, positions=positions) == want
+    assert verifymod._induced_diameter(path, nodes, positions) == want
     assert (positions == -1).all()
     # called alone, the same measurement allocates its own n entries
     alone = peak_bytes(lambda: induced_diameter(path, nodes))
