@@ -597,16 +597,17 @@ class _LocalGraph:
     layer in numpy.
 
     A set of fewer than _WIDE nodes never has a frontier of _WIDE nodes, so
-    its BFS only ever reads rows: they are all built up front, each of the
-    set's rows in g its targets mapped through a dict of the set's ids and
-    those outside the set dropped. The rows are read from `g.adj` if it has
-    been built (the pipelines build it), else sliced out of g's CSR, which
-    costs about 8 us more on a 15-node set but builds no O(n) Python lists
-    for a graph that is only verified. Its CSR arrays are built from the
-    rows only if the bitset kernel asks for them (`csr`). The switch is the
-    set's size, not its shape: long thin sets read their rows faster off
-    the CSR's lists (rows through the dict for every set made path-deep's
-    verify 1.08x slower, graph seed 1).
+    its BFS only ever reads rows: they are all built up front from the
+    set's rows in g, each target mapped through a dict of the set's ids or
+    dropped if outside the set. Those rows are read from `g.adj` if the
+    graph has built it (the pipelines do), else sliced out of g's CSR: on
+    path-strong's 15-node sets that costs about 8 us more per set (2-vCPU
+    x86-64 host), but a graph that is only verified never builds its O(n)
+    Python lists. Its CSR arrays are built from the rows only if the bitset
+    kernel asks for them (`csr`). The switch is the set's size, not its
+    shape: long thin sets read their rows faster off the CSR's lists (rows
+    through the dict for every set made path-deep's verify 1.08x slower,
+    graph seed 1).
 
     A larger set has its CSR arrays `ip` and `dst` and the same as Python
     lists; a narrow BFS layer builds the rows it reads from the lists. They
