@@ -11,13 +11,17 @@ exactly once, the snippet's replacement and the pytest node ids that must
 fail on the mutant. The runner copies `src/`, `tests/` and `pyproject.toml`
 into a temporary directory and first runs every named test there on the
 unmutated copy, where all must pass. Then, for each row, it applies the row
-to a fresh copy and runs the row's tests in a subprocess against it. Every
-run uses the `mutants` hypothesis profile of `tests/conftest.py`, which
-reports a fuzz test's first failing example without shrinking it. A
-mutant is killed when every test its row names fails (for a parametrized
-test, at least one of its cases). The runner exits 1 if a snippet no longer
-matches, a named test fails on the unmutated copy or is not found, or a
-mutant survives: a refactor that moves a snippet must update its row.
+to a fresh copy and runs the row's tests against it. The runner imports
+pytest, numpy and hypothesis once and runs each pytest session in a forked
+child that works in its copy, so the copy's `src/` (the `pythonpath` of its
+`pyproject.toml`) is where the child first imports the package from; the
+runner itself never imports the package. Every run uses the `mutants`
+hypothesis profile of `tests/conftest.py`, which reports a fuzz test's
+first failing example without shrinking it. A mutant is killed when every
+test its row names fails (for a parametrized test, at least one of its
+cases). The runner exits 1 if a snippet no longer matches, a named test
+fails on the unmutated copy or is not found, or a mutant survives: a
+refactor that moves a snippet must update its row.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from __future__ import annotations
 import os
 import re
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,6 +140,20 @@ MUTANTS = (
         ("tests/test_weak.py::test_linial_saks_declares_exact_congestion",),
     ),
     Mutant(
+        "claim's first flood counts its last layer as members",
+        "weak.py",
+        "split = cum[max_rounds - 1] if max_rounds else 0",
+        "split = cum[min(max_rounds, len(cum) - 1)]",
+        ("tests/test_weak.py::test_claim_equals_its_definition_at_every_layer_width",),
+    ),
+    Mutant(
+        "components' numpy finish leaves its nodes' list stamps unwritten",
+        "graph.py",
+        "for w in found:\n                        stamp[w] = gen",
+        "for w in found:\n                        pass",
+        ("tests/test_graph.py::test_components_wide_enough_to_finish_in_numpy",),
+    ),
+    Mutant(
         "numpy BFS layer takes each node's last discoverer",
         "graph.py",
         "np.minimum.at(first, new, hit)",
@@ -174,19 +192,35 @@ def _copy(dest: Path) -> None:
 
 
 def _pytest(copy: Path, tests) -> tuple[int, set[str], str]:
-    """Run `tests` in `copy` against its own src/: the exit code, the node
-    ids that failed or errored, and the output."""
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--hypothesis-profile", "mutants", *tests],
-        cwd=copy,
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+?)(?: - .*)?$", proc.stdout, re.M))
-    return proc.returncode, failed, proc.stdout + proc.stderr
+    """Run `tests` in a forked child that works in `copy`, against its own
+    src/: the exit code, the node ids that failed or errored, and the
+    output."""
+    log = copy / "pytest.log"
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            import pytest  # imported by `main` before the fork
+
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            os.dup2(fd, 1)
+            os.dup2(fd, 2)
+            os.chdir(copy)
+            sys.dont_write_bytecode = True
+            code = pytest.main(
+                ["-q", "-rfE", "-p", "no:cacheprovider", "--hypothesis-profile", "mutants", *tests]
+            )
+        except BaseException:
+            traceback.print_exc()  # into the log, once it is open
+            raise
+        finally:  # the child never returns into the runner's own code
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    out = log.read_text()
+    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+?)(?: - .*)?$", out, re.M))
+    return code, failed, out
 
 
 def _caught(test: str, failed: set[str]) -> bool:
@@ -194,6 +228,13 @@ def _caught(test: str, failed: set[str]) -> bool:
 
 
 def main() -> int:
+    # the runner forks its pytest sessions, so it keeps to one thread:
+    # OpenBLAS would otherwise start a pool of its own when numpy is imported
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import hypothesis  # noqa: F401  imported once, before the children fork
+    import numpy  # noqa: F401
+    import pytest  # noqa: F401
+
     start = time.perf_counter()
     problems = []
     with tempfile.TemporaryDirectory(prefix="netdecomp-mutants-") as tmp:

@@ -13,6 +13,7 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -239,12 +240,13 @@ class Scratch:
     buffer is ever cleared.
 
     Traversals mark nodes in `stamp`. `_bfs_layers` and each flood of the
-    Linial-Saks claim (`weak._claim`, which reads its trees off it) record
-    each node's first discoverer in `parent`; the halving census
-    (`refine._census`) stamps nodes but writes no `parent`. `budget` holds
-    the largest broadcast range the claim (its only user) has seen at each
-    node. `up` and `uses` count the claim's tree edges, keyed by child (the
-    claim is their only user too, and resets `uses` on its component):
+    Linial-Saks claim (`weak._claim`, which reads its trees off it; its
+    first flood is a `_bfs_layers` call) record each node's first discoverer
+    in `parent`; the halving census (`refine._census`) and
+    `connected_components` stamp nodes but write no `parent`. `budget`
+    holds the largest broadcast range the claim (its only user) has seen at
+    each node. `up` and `uses` count the claim's tree edges, keyed by child
+    (the claim is their only user too, and resets `uses` on its component):
     `uses[v]` trees so far hold the edge from v to `up[v]`, the first parent
     v had in them. State is readable only until the next `begin()`: a stage
     may not call into another stage (or any traversal) while it still reads
@@ -255,14 +257,19 @@ class Scratch:
     numpy, and two n-length int64 twins that `widen` allocates on the first
     such layer: `seen`, the numpy stamp, and `first`, `_expand`'s first
     gather position per target (and `_preorder`'s BFS position per node,
-    once the BFS is done). The lists stay authoritative: after every
+    once the BFS is done). Three traversals widen: `_bfs_layers` (so also
+    the claim's first flood, the trivial box's trees and `_preorder`), the
+    census, and `connected_components` once _WIDE_LAYER nodes of a
+    component wait unscanned. The lists stay authoritative: after every
     traversal, all that its readers read is in `stamp` and `parent`, and no
     traversal reads a twin's value from an earlier one. A neighbour of a
     layer-d node lies in layer d - 1, d or d + 1, so a kernel that switches
     between list and numpy layers hands over the last two layers only:
     `widen` marks them `seen`, and on the way back the census writes their
     list stamps (`_bfs_layers` writes every numpy layer's stamps and parents
-    into the lists as it goes).
+    into the lists as it goes). `connected_components`, whose queue is not
+    layered, hands over every node of the component found so far, and
+    writes the stamp of each node `_expand` finds.
     """
 
     __slots__ = (
@@ -285,10 +292,11 @@ class Scratch:
         return self.gen
 
     def widen(self, alive: bytearray, layers: list[int], width: int):
-        """Switch the current traversal to numpy layers. `layers` holds its
-        last two layers, the frontier last, `width` nodes wide; marks them
-        `seen` (allocating the twins on first use) and returns `alive` as a
-        boolean array and the frontier as an int64 array."""
+        """Switch the current traversal to numpy layers. `layers` holds every
+        node found so far that a frontier node may neighbour (a layered
+        BFS's last two layers), the frontier last, `width` nodes wide; marks
+        them `seen` (allocating the twins on first use) and returns `alive`
+        as a boolean array and the frontier as an int64 array."""
         if self.seen is None:
             n = len(self.stamp)
             self.seen = np.zeros(n, dtype=np.int64)
@@ -307,7 +315,8 @@ class Scratch:
 # kernel calls of one decompose, 128 keeps grid 64x64 and path-deep's census
 # seed layers (runs of a path's preorder, whose scans find almost nothing)
 # within noise of the node loop, which 64 exceeds by 30% (grid's BFS) and 3%,
-# and costs gnp-wide's census about 8% against 64.
+# and costs gnp-wide's census about 8% against 64. `connected_components`
+# reuses it as its queue's switch length and block size.
 _WIDE_LAYER = 128
 
 
@@ -532,6 +541,13 @@ def connected_components(g: Graph, mask: NodeMask) -> list[np.ndarray]:
     A node is seen once it carries this call's stamp in the workspace. A
     mask that carries its component in g (`NodeMask._of_sorted`) is
     answered with its own ids, without a traversal.
+
+    A component is scanned FIFO from its min id, _WIDE_LAYER nodes at a
+    time through its queue's live iterator, so that a narrow component pays
+    one queue-length check per _WIDE_LAYER scans. Once _WIDE_LAYER nodes
+    wait unscanned, the rest is expanded in numpy (`_expand`), each node's
+    list stamp written as it is found: the order a component is found in
+    does not matter, as it is sorted.
     """
     if mask._component_of is g:
         return [mask.node_ids()]
@@ -545,11 +561,23 @@ def connected_components(g: Graph, mask: NodeMask) -> list[np.ndarray]:
         if stamp[v] != gen:
             comp = [v]
             stamp[v] = gen
-            for u in comp:  # the loop also visits the nodes it appends
-                for w in adj[u]:
-                    if alive[w] and stamp[w] != gen:
+            queue = iter(comp)  # it also yields the nodes appended later
+            waiting = 1
+            while 0 < waiting < _WIDE_LAYER:
+                for u in islice(queue, _WIDE_LAYER):
+                    for w in adj[u]:
+                        if alive[w] and stamp[w] != gen:
+                            stamp[w] = gen
+                            comp.append(w)
+                waiting = queue.__length_hint__()
+            if waiting:
+                bools, layer = scratch.widen(alive, comp, waiting)
+                while len(layer):
+                    layer = _expand(scratch, bools, layer)[0]
+                    found = layer.tolist()
+                    for w in found:
                         stamp[w] = gen
-                        comp.append(w)
+                    comp += found
             comp.sort()
             comps.append(np.asarray(comp, dtype=np.int64))
     return comps

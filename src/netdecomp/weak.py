@@ -202,39 +202,66 @@ def _claim(adj, alive, comp_list, radii, scratch):
     trees sharing one edge, at least 1).
 
     radii[i] is comp_list[i]'s radius; broadcasters go in descending id
-    order; a node is claimed once it carries this call's stamp. best_budget
-    (the workspace's `budget`, reset to -1 on the component, which holds
-    every node a flood reaches) is the largest remaining range seen at each
-    node; a later broadcast only passes v with a strictly larger one, as the
-    earlier one covers the rest. That prunes floods without changing any
-    winner, and a node's budget when claimed is its slack.
+    order; a node is claimed once it carries this call's stamp. The first
+    broadcaster, the component's max id, meets no earlier broadcast, so its
+    flood is a plain BFS to depth r (`_bfs_layers`, which opens the call's
+    generation): its layers below r are its cluster, with the BFS parents as
+    tree, and layer r is dead. When that flood claims the whole component
+    (it does on most components), nothing else runs.
 
-    u's tree is the paths up from its members through `parent`, walked
-    before the next flood overwrites it. These are BFS-tree paths: no
+    Otherwise the later floods are pruned. best_budget (the workspace's
+    `budget`, reset to -1 on the component, which holds every node a flood
+    reaches, then set to r minus its layer on the first flood's nodes) is
+    the largest remaining range seen at each node; a later broadcast only
+    passes v with a strictly larger one, as the earlier one covers the
+    rest. That prunes floods without changing any winner, and a node's
+    budget when claimed is its slack.
+
+    A later u's tree is the paths up from its members through `parent`,
+    walked before the next flood overwrites it. These are BFS-tree paths: no
     earlier flood reached a node on a shortest path from u to a node u
     claims with that much budget (it would have claimed the node), so u's
     flood reaches it at its BFS layer and, by induction on layers, first
     from its BFS parent.
 
-    Each tree edge is counted as the walk adds it, keyed by its child in the
+    Each tree edge is counted as it is added, keyed by its child in the
     workspace's `up` and `uses` (reset on the component with best_budget):
     a child's first parent there, and `extra` for any later one. An edge's
     trees are those holding it in either orientation.
     """
-    gen = scratch.begin()
-    best_budget, parent, stamp = scratch.budget, scratch.parent, scratch.stamp
+    k = len(comp_list)
+    u, ru = comp_list[-1], radii[-1]
+    cum, touched = _bfs_layers(adj, alive, u, scratch, ru)
+    gen, parent = scratch.gen, scratch.parent
+    # the flood ran ru rounds, or one past the BFS's last layer if that came
+    # first; the layers before it are the members, and a layer ru is dead
+    max_rounds = min(ru, len(cum))
+    split = cum[max_rounds - 1] if max_rounds else 0
+    clusters = []
+    dead = touched[split:]
+    first_tree = {v: parent[v] for v in touched[1:split]}
+    if split:
+        members = sorted(touched[:split])
+        tree = SteinerTree(root=u, parent=first_tree)
+        clusters.append(WeakCluster(np.asarray(members, dtype=np.int64), tree, max_rounds - 1))
+    if len(touched) == k:
+        return clusters, dead, max_rounds, 1  # one tree: no edge is shared
+    clustered = split
+
+    best_budget, stamp = scratch.budget, scratch.stamp
     up, uses = scratch.up, scratch.uses
     for v in comp_list:
         best_budget[v] = -1
         uses[v] = 0
+    for r in range(len(cum)):
+        for v in touched[cum[r - 1] if r else 0 : cum[r]]:
+            best_budget[v] = ru - r
+    for v, p in first_tree.items():
+        up[v] = p
+        uses[v] = 1
     extra: dict[tuple[int, int], int] = {}  # (child, parent) -> trees, past the first parent
     congestion = 1
-    k = len(comp_list)
-    clusters = []
-    dead = []
-    clustered = 0
-    max_rounds = 0
-    for i in range(k - 1, -1, -1):
+    for i in range(k - 2, -1, -1):
         if clustered + len(dead) == k:
             break  # every node is claimed
         u, ru = comp_list[i], radii[i]

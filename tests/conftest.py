@@ -12,9 +12,11 @@ calls and an oracle here recomputes every one of them.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -391,3 +393,15 @@ def pools_within_half_eps(g: Graph, mask: NodeMask, sc, eps: float) -> bool:
         max(len(comp & bb), len(comp & bd)) <= (eps / 2) * len(comp)
         for comp in uf_components(g, mask)
     )
+
+
+@contextlib.contextmanager
+def wide_layer(width: int):
+    """Run the algorithms' BFS kernels with `_WIDE_LAYER` = width (the census
+    reads its own import of the name)."""
+    graph_mod = importlib.import_module("netdecomp.graph")
+    refine_mod = importlib.import_module("netdecomp.refine")
+    with mock.patch.object(graph_mod, "_WIDE_LAYER", width), mock.patch.object(
+        refine_mod, "_WIDE_LAYER", width
+    ):
+        yield

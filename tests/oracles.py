@@ -1,9 +1,11 @@
 """All-pairs distances by Floyd-Warshall, and the slow dense twins of the
 verifiers built on them, for double-implementation checks.
 
-Every adjacency and every distance here is read off `fw_distances`: the
-whole graph's matrix gives adjacency (distance 1), and a cluster passed as
-`alive` gives its induced geometry. Nothing shares traversal code with the
+Every adjacency and every distance of the twins is read off
+`fw_distances`: the whole graph's matrix gives adjacency (distance 1), and
+a cluster passed as `alive` gives its induced geometry. The Linial-Saks
+claim's oracle runs one plain BFS per broadcaster. Nothing shares traversal
+code with the
 library, neither with the algorithms nor with the fast verifiers and their
 `induced_diameter` in `verify.py`; `tests/test_imports.py` holds this module
 to importing only `Graph`, `NodeMask` and `Violation` from it, and
@@ -224,3 +226,37 @@ def tree_edge_uses(w) -> tuple[int, int, bool]:
             directed[c, p] = directed.get((c, p), 0) + 1
             second_parent |= first_parent.setdefault(c, p) != p
     return max(undirected.values(), default=1), max(directed.values(), default=1), second_parent
+
+
+def claim_by_definition(
+    g: Graph, alive: set[int], comp: list[int], radii: list[int]
+) -> tuple[dict[int, tuple[list[int], int]], list[int]]:
+    """The Linial-Saks claim by its definition, on the inputs of
+    `weak._claim`: v's winner is the highest id u of `comp` with
+    dist(u, v) <= radii of u inside `alive`, and v is dead iff that distance
+    equals u's radius. One BFS per broadcaster, to its radius. Returns each
+    winner's sorted members and depth (the largest member distance), and
+    the sorted dead ids."""
+    won: dict[int, tuple[int, int, bool]] = {}
+    for u, r in sorted(zip(comp, radii), reverse=True):
+        dist = {u: 0}
+        frontier = [u]
+        for d in range(1, r + 1):
+            nxt = []
+            for x in frontier:
+                for w in g.adj[x]:
+                    if w in alive and w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        for v, d in dist.items():
+            won.setdefault(v, (u, d, d == r))
+    clusters: dict[int, tuple[list[int], int]] = {}
+    dead = []
+    for v, (u, d, killed) in sorted(won.items()):
+        if killed:
+            dead.append(v)
+        else:
+            members, depth = clusters.get(u, ([], 0))
+            clusters[u] = (members + [v], max(depth, d))
+    return clusters, dead

@@ -2,7 +2,6 @@ import collections
 import contextlib
 import importlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from netdecomp import (
     make_refined_carver,
     to_text,
 )
+from netdecomp.graph import _edge_array
 from netdecomp.refine import _census, _coverage_radius
 
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     ref_gnp,
     ref_skips,
     uf_components,
+    wide_layer,
 )
 from oracles import fw_distances
 
@@ -153,16 +154,6 @@ def _check_census_against_reference(data):
     assert touched == order
 
 
-@contextlib.contextmanager
-def _wide_layer(width: int):
-    """Run the algorithms' BFS kernels with `_WIDE_LAYER` = width (the census
-    reads its own import of the name)."""
-    with mock.patch.object(graphmod, "_WIDE_LAYER", width), mock.patch.object(
-        refinemod, "_WIDE_LAYER", width
-    ):
-        yield
-
-
 def _kernel_state(g, alive, source, r_max):
     """`_bfs_layers`' cum and touched, each touched node's parent, and
     whether each touched node carries the traversal's stamp."""
@@ -188,10 +179,10 @@ def test_bfs_kernel_numpy_layers_match_the_node_loop(wide, data):
     source = data.draw(st.sampled_from(alive_ids))
     r_max = data.draw(st.none() | st.integers(0, g.n))
     mask = NodeMask(alive)
-    with _wide_layer(g.n + 1):
+    with wide_layer(g.n + 1):
         want = _kernel_state(g, mask.as_bytes(), source, r_max)
         want_cum, want_dist = _layers(g, mask, source, r_max)
-    with _wide_layer(wide):
+    with wide_layer(wide):
         got = _kernel_state(g, mask.as_bytes(), source, r_max)
         cum, dist = _layers(g, mask, source, r_max)
     assert got == want and got[3]
@@ -212,9 +203,9 @@ def test_preorder_read_off_wide_layers_equals_the_walk(wide, data):
     assume(alive_ids)
     root = data.draw(st.sampled_from(alive_ids))
     for mask in (NodeMask(alive), NodeMask.full(g.n)):
-        with _wide_layer(g.n + 1):
+        with wide_layer(g.n + 1):
             want = graphmod._preorder(g.adj, mask.as_bytes(), root, g.scratch)
-        with _wide_layer(wide):
+        with wide_layer(wide):
             got = graphmod._preorder(g.adj, mask.as_bytes(), root, g.scratch)
         assert got == want
 
@@ -227,7 +218,7 @@ def test_census_numpy_layers_match_the_reference(wide, data):
     # numpy (width 1) or switching between numpy and the node loop (3); the
     # chunks of a wide layer then start at 1 or 3 rows, so the stop falls
     # inside, at the end of and after a chunk
-    with _wide_layer(wide):
+    with wide_layer(wide):
         _check_census_against_reference(data)
 
 
@@ -241,7 +232,7 @@ def test_wide_kernels_on_a_gnp_wide_graph_equal_the_node_loop(monkeypatch):
         d, ledger = decompose(from_text(text), 0, make_refined_carver(linial_saks_black_box))
         return d.to_json(), ledger.to_json()
 
-    with _wide_layer(20001):
+    with wide_layer(20001):
         want = run()
     calls = count_calls(monkeypatch, graphmod, "_expand")
     monkeypatch.setattr(refinemod, "_expand", graphmod._expand)
@@ -273,15 +264,45 @@ def test_components_connected_graph_single():
     assert len(comps) == 1 and comps[0].tolist() == list(range(6))
 
 
+def _widths():
+    """The default _WIDE_LAYER, then 1 and 2, at which the components scan
+    hands almost every component to its numpy finish."""
+    return (contextlib.nullcontext(), wide_layer(1), wide_layer(2))
+
+
 def test_components_match_union_find_oracle():
     rng = np.random.default_rng(7)
     g = generate("gnp", 42, n=20, p=0.1)
     for _ in range(20):
         alive = rng.random(20) < 0.7
         mask = NodeMask(alive)
-        ours = {frozenset(int(v) for v in c) for c in connected_components(g, mask)}
         oracle = set(uf_components(g, mask))
-        assert ours == oracle
+        for width in _widths():
+            with width:
+                ours = {frozenset(int(v) for v in c) for c in connected_components(g, mask)}
+            assert ours == oracle
+
+
+def test_components_wide_enough_to_finish_in_numpy(monkeypatch):
+    # four G(300, 0.03) graphs side by side with interleaved ids: each one's
+    # queue reaches the default _WIDE_LAYER, so the numpy finish finds most
+    # of it, and the scan of the ids meets those nodes by their list stamps
+    # alone; a mask drops a few nodes
+    perm = np.random.default_rng(5).permutation(1200)
+    edges = [
+        perm[300 * k + _edge_array(generate("gnp", seed=k, n=300, p=0.03))]
+        for k in range(4)
+    ]
+    g = graph_from_edges(1200, np.concatenate(edges))
+    calls = count_calls(monkeypatch, graphmod, "_expand")
+    for alive in (np.ones(1200, dtype=bool), np.random.default_rng(6).random(1200) < 0.97):
+        mask = NodeMask(alive)
+        oracle = sorted(sorted(c) for c in uf_components(g, mask))
+        for width in _widths():
+            with width:
+                comps = connected_components(g, mask)
+            assert [c.tolist() for c in comps] == oracle
+            assert calls["_expand"] > 0  # from the default width on
 
 
 @settings(max_examples=40, deadline=None)
@@ -335,20 +356,22 @@ def test_components_partition_alive_set():
         g = fuzz_graph(rng, max_n=80)
         alive = rng.random(g.n) < 0.6
         mask = NodeMask(alive)
-        comps = connected_components(g, mask)
-        assert sum(len(c) for c in comps) == int(alive.sum())
-        seen = np.concatenate([c for c in comps]) if comps else np.zeros(0)
-        assert len(set(seen.tolist())) == len(seen)
-        # no alive edge crosses two components
-        owner = {}
-        for i, c in enumerate(comps):
-            for v in c.tolist():
-                owner[v] = i
-        for u in range(g.n):
-            if alive[u]:
-                for v in g.adj[u]:
-                    if alive[v]:
-                        assert owner[u] == owner[v]
+        for width in _widths():
+            with width:
+                comps = connected_components(g, mask)
+            assert sum(len(c) for c in comps) == int(alive.sum())
+            seen = np.concatenate([c for c in comps]) if comps else np.zeros(0)
+            assert len(set(seen.tolist())) == len(seen)
+            # no alive edge crosses two components
+            owner = {}
+            for i, c in enumerate(comps):
+                for v in c.tolist():
+                    owner[v] = i
+            for u in range(g.n):
+                if alive[u]:
+                    for v in g.adj[u]:
+                        if alive[v]:
+                            assert owner[u] == owner[v]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,7 @@
 """The mutant table of `scripts/mutants.py` still points at real code.
 
 The script runs every mutant against the tests its row names, in about
-40 s, and fails on a snippet or test that has moved. This check catches
+17 s, and fails on a snippet or test that has moved. This check catches
 such a move within tier-1, without running a mutant: each row's snippet
 occurs exactly once in its module, and each test it names is defined in
 its file.

@@ -1,13 +1,15 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netdecomp import (
     InvariantViolation,
     NodeMask,
+    connected_components,
     generate,
     linial_saks_black_box,
     trivial_black_box,
@@ -15,8 +17,8 @@ from netdecomp import (
     weak,
 )
 
-from conftest import fuzz_graph, ref_bfs_tree
-from oracles import tree_edge_uses
+from conftest import fuzz_graph, ref_bfs_tree, ref_eccentricity, wide_layer
+from oracles import claim_by_definition, tree_edge_uses
 
 
 BLACK_BOXES = {"trivial": trivial_black_box, "linial_saks": linial_saks_black_box}
@@ -129,6 +131,60 @@ def test_linial_saks_declares_exact_congestion():
                 second_parents += second_parent
     assert seen >= {1, 2, 3, 4, 5, 6, 7}, seen
     assert reversed_decides and second_parents
+
+
+@pytest.mark.parametrize("top", ["silent", "short", "covers"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_claim_equals_its_definition_at_every_layer_width(top, data):
+    # the component's top broadcaster (its max id) has radius 0 ("silent"),
+    # one below its eccentricity, so that later floods run on the budgets
+    # its flood set ("short"), or at least its eccentricity ("covers"); the
+    # claim with every BFS layer expanded in numpy equals the node loop's,
+    # and both equal the claim by its definition
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    g = fuzz_graph(rng, max_n=60)
+    mask = NodeMask(rng.random(g.n) < data.draw(st.sampled_from([1.0, 0.8])))
+    assume(mask.count())
+    comp = max(connected_components(g, mask), key=len).tolist()
+    alive = set(mask.node_ids().tolist())
+    ecc = ref_eccentricity(g, alive, comp[-1])
+    radii = data.draw(st.lists(st.integers(0, 5), min_size=len(comp), max_size=len(comp)))
+    if top == "silent":
+        radii[-1] = 0
+    elif top == "short":
+        assume(ecc >= 2)
+        radii[-1] = data.draw(st.integers(1, ecc - 1))
+    else:
+        radii[-1] = ecc + data.draw(st.integers(0, 2))
+
+    def claim():
+        clusters, dead, rounds, congestion = weak._claim(
+            g.adj, mask.as_bytes(), comp, radii, g.scratch
+        )
+        shape = [
+            (c.tree.root, c.nodes.tolist(), c.depth, sorted(c.tree.parent.items()))
+            for c in clusters
+        ]
+        return (shape, sorted(dead), rounds, congestion), clusters
+
+    want, clusters = claim()
+    with wide_layer(1):
+        assert claim()[0] == want
+    shape, dead, rounds, congestion = want
+    by_definition, dead_by_definition = claim_by_definition(g, alive, comp, radii)
+    assert [(root, (nodes, depth)) for root, nodes, depth, _ in shape] == sorted(
+        by_definition.items()
+    )
+    assert dead == dead_by_definition
+    for root, nodes, _, tree in shape:
+        parent, _ = ref_bfs_tree(g, alive, root)
+        assert all(parent[v] == p for v, p in tree)
+        assert set(nodes) <= {root, *dict(tree)}
+    assert congestion == tree_edge_uses(SimpleNamespace(clusters=clusters))[0]
+    if top == "covers":
+        # one flood, of its radius or of one round past the BFS's last layer
+        assert rounds == min(radii[-1], ecc + 1)
 
 
 def test_linial_saks_clusters_non_adjacent_exhaustive():
